@@ -1,4 +1,4 @@
-// Experiment E7 (DESIGN.md): end-to-end system throughput and latency.
+// End-to-end system throughput and latency.
 //
 // The full Figure-1 stack — simulator readers -> cleaning -> event bus ->
 // complex event processor (+ archiving into the event database) — driven by

@@ -1,7 +1,7 @@
 // Sharded execution runtime scaling (src/runtime/).
 //
-// The multi-query experiment E9 shows serial throughput degrading ~1/Q as
-// queries are added: every event visits every plan on one core. The sharded
+// bench_multi_query shows serial throughput degrading ~1/Q as queries are
+// added: every event visits every plan on one core. The sharded
 // runtime routes events by TagId across N workers, each owning a private
 // QueryEngine with the full query set, so the per-event work spreads over N
 // cores while the OutputMerger keeps results byte-identical to serial

@@ -15,6 +15,9 @@
 #     ("| `sase_...` | ...") are checked against the registry call sites
 #     in src/ BOTH ways — a documented metric must exist in the code, and
 #     every "sase_..." name literal in src/ must appear in the catalog.
+#  4. Source-comment doc references: every `*.md` name in a source file
+#     under src/ or bench/ must resolve, from the repo root or from the
+#     source file's own directory.
 set -u
 
 cd "$(dirname "$0")/.."
@@ -41,6 +44,17 @@ for doc in README.md docs/language.md docs/operations.md docs/architecture.md do
     fi
   done
 done
+
+# --- *.md references in source comments (src/, bench/) ---
+while IFS= read -r src_file; do
+  src_dir=$(dirname "$src_file")
+  for ref in $(grep -oE '[A-Za-z0-9_./-]+\.md\b' "$src_file" | sort -u); do
+    if [[ ! -e "$ref" && ! -e "$src_dir/$ref" ]]; then
+      echo "BROKEN REFERENCE in $src_file: $ref"
+      status=1
+    fi
+  done
+done < <(find src bench -type f \( -name '*.h' -o -name '*.cc' -o -name '*.cpp' \))
 
 # --- knob existence check (docs/operations.md vs the config headers) ---
 knob_doc=docs/operations.md

@@ -17,10 +17,7 @@ namespace sase {
 namespace checkpoint {
 namespace {
 
-constexpr const char* kStateHeaderV1 = "SASE-CHECKPOINT v1";
-constexpr const char* kStateHeaderV2 = "SASE-CHECKPOINT v2";
-constexpr const char* kStateHeaderV3 = "SASE-CHECKPOINT v3";
-constexpr const char* kStateHeaderV4 = "SASE-CHECKPOINT v4";
+constexpr const char* kStateHeaderPrefix = "SASE-CHECKPOINT v";
 constexpr const char* kManifestHeader = "SASE-MANIFEST v1";
 constexpr const char* kEngineHeader = "SASE-ENGINE-STATE v1";
 
@@ -43,12 +40,19 @@ void SyncPath(const std::string& path) {
 // Field parsing uses the strict util ParseU64/ParseI64 (string_util.h),
 // shared with the engine-state codec.
 
+/// The refusal for a checkpoint written in any format but the current one;
+/// `found` names the format met on disk.
+Status UnsupportedFormat(const std::string& found) {
+  return Status::InvalidArgument(found + "; this reader supports only format " +
+                                 std::to_string(kSnapshotFormat));
+}
+
 Status WriteState(const std::string& path, const SystemSnapshot& snap) {
   std::ofstream out(path);
   if (!out.is_open()) {
     return Status::InvalidArgument("cannot open for writing: " + path);
   }
-  out << kStateHeaderV4 << "\n";
+  out << kStateHeaderPrefix << kSnapshotFormat << "\n";
   out << "SHARDS " << snap.shard_count << "\n";
   out << "KEY " << EscapeField(snap.partition_key) << "\n";
   out << "DISPATCHED " << snap.events_dispatched << "\n";
@@ -95,7 +99,7 @@ Status WriteState(const std::string& path, const SystemSnapshot& snap) {
   return Status::Ok();
 }
 
-/// engine.sase: framed engine-state sections (snapshot v2).
+/// engine.sase: framed engine-state sections.
 ///
 ///   SASE-ENGINE-STATE v1
 ///   SECTION <kind>|<host>|<query-id>|<version>|<payload-bytes>|<crc32>
@@ -210,7 +214,7 @@ Status WriteSnapshot(const std::string& dir, const SystemSnapshot& snap,
   // The manifest repoint is the commit: tmp + rename keeps the previous
   // checkpoint authoritative until the new one is fully on disk. The
   // `format` line is the version negotiation: a reader refuses a directory
-  // written by a newer format instead of misreading it (absent = v1).
+  // written in any other format instead of misreading it.
   std::string tmp = dir + "/MANIFEST.tmp";
   {
     std::ofstream out(tmp);
@@ -243,19 +247,24 @@ Result<uint64_t> ReadManifest(const std::string& dir) {
   }
   Result<uint64_t> snapshot =
       Status::ParseError("manifest in " + dir + " names no snapshot");
+  bool saw_format = false;
   while (std::getline(in, line)) {
     if (StartsWith(line, "snapshot ")) {
       snapshot = ParseU64(line.substr(9));
       if (!snapshot.ok()) return snapshot.status();
     } else if (StartsWith(line, "format ")) {
       SASE_ASSIGN_OR_RETURN(uint64_t format, ParseU64(line.substr(7)));
-      if (format > static_cast<uint64_t>(kSnapshotFormat)) {
-        return Status::InvalidArgument(
-            "checkpoint in " + dir + " uses snapshot format " +
-            std::to_string(format) + "; this reader supports up to " +
-            std::to_string(kSnapshotFormat));
+      if (format != static_cast<uint64_t>(kSnapshotFormat)) {
+        return UnsupportedFormat("checkpoint in " + dir +
+                                 " uses snapshot format " +
+                                 std::to_string(format));
       }
+      saw_format = true;
     }
+  }
+  if (!saw_format) {
+    return UnsupportedFormat("checkpoint manifest in " + dir +
+                             " has no format line (snapshot format 1)");
   }
   return snapshot;
 }
@@ -268,18 +277,18 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
     return Status::NotFound("missing snapshot state: " + snap_dir);
   }
   std::string line;
-  if (!std::getline(in, line) ||
-      (line != kStateHeaderV1 && line != kStateHeaderV2 &&
-       line != kStateHeaderV3 && line != kStateHeaderV4)) {
+  if (!std::getline(in, line) || !StartsWith(line, kStateHeaderPrefix)) {
     return Status::ParseError("bad snapshot header in " + snap_dir);
   }
+  std::string format = line.substr(std::string(kStateHeaderPrefix).size());
+  if (format != std::to_string(kSnapshotFormat)) {
+    return UnsupportedFormat("snapshot state in " + snap_dir +
+                             " uses snapshot format " + format);
+  }
   SystemSnapshot snap;
-  snap.format = line == kStateHeaderV1   ? kSnapshotFormatV1
-                : line == kStateHeaderV2 ? kSnapshotFormatV2
-                : line == kStateHeaderV3 ? kSnapshotFormatV3
-                                         : kSnapshotFormatV4;
   snap.snapshot_id = id;
   bool saw_end = false;
+  bool saw_acked = false;
   while (std::getline(in, line)) {
     if (line.empty()) continue;
     if (line == "END") {
@@ -323,7 +332,7 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
       if (!serial.ok()) return serial.status();
       snap.acked_runtime = runtime.value();
       snap.acked_serial = serial.value();
-      snap.has_acked = true;
+      saw_acked = true;
     } else if (tag == "ROUTED") {
       if (fields.size() != 3) return Status::ParseError("bad ROUTED line");
       auto stream = field_u64(1);
@@ -431,11 +440,12 @@ Result<SystemSnapshot> ReadSnapshot(const std::string& dir, uint64_t id,
   if (!saw_end) {
     return Status::ParseError("snapshot state truncated (no END): " + snap_dir);
   }
-  if (snap.format >= kSnapshotFormatV2) {
-    // A bad section is a hard error, not a fallback to window replay: the
-    // caller must not restore half a system from a damaged checkpoint.
-    SASE_RETURN_IF_ERROR(ReadEngineState(snap_dir + "/engine.sase", &snap));
+  if (!saw_acked) {
+    return Status::ParseError("snapshot state has no ACKED line: " + snap_dir);
   }
+  // A bad section is a hard error: the caller must not restore half a
+  // system from a damaged checkpoint.
+  SASE_RETURN_IF_ERROR(ReadEngineState(snap_dir + "/engine.sase", &snap));
   if (database != nullptr) {
     SASE_RETURN_IF_ERROR(db::LoadFileInto(snap_dir + "/db.sase", database));
   }

@@ -74,16 +74,16 @@ Result<QueryId> QueryEngine::RegisterParsed(QueryId id, std::string text,
     plan->SetJoinGate(group->fed_any(), group->last_seq());
     group->AddMember(window_ticks);
   }
-  auto [it, inserted] = plans_.emplace(
-      id, Entry{std::move(plan), std::move(stream), std::move(text), nullptr});
+  Entry entry;
+  entry.plan = std::move(plan);
+  entry.stream = std::move(stream);
+  entry.text = std::move(text);
+  entry.id = id;
+  entry.group = entry.plan->shared_group();
+  entry.group_key = std::move(group_key);
+  auto [it, inserted] = plans_.emplace(id, std::move(entry));
   reader_cache_valid_ = false;
-  if (inserted) {
-    Entry& entry = it->second;
-    entry.id = id;
-    entry.group = entry.plan->shared_group();
-    entry.group_key = std::move(group_key);
-    if (metrics_ != nullptr) ResolveEntryMetrics(id, entry);
-  }
+  if (inserted && metrics_ != nullptr) ResolveEntryMetrics(id, it->second);
   next_id_ = std::max(next_id_, id + 1);
   return id;
 }

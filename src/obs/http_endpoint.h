@@ -49,7 +49,7 @@ class HttpEndpoint {
   /// be bound (port taken, no loopback) — never aborts.
   Status Start(int port);
 
-  /// Stops accepting, closes the listen socket, joins the accept thread.
+  /// Stops accepting, joins the accept thread, closes the listen socket.
   /// Idempotent; also run by the destructor.
   void Stop();
 

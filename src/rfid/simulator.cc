@@ -15,7 +15,7 @@ RetailSimulator::RetailSimulator(StoreLayout layout, NoiseModel noise,
 
 void RetailSimulator::AddItem(TagInfo tag) {
   std::string epc = tag.epc;
-  items_[epc] = Item{std::move(tag), -1};
+  items_[epc] = Item{std::move(tag), -1, std::string()};
 }
 
 bool RetailSimulator::HasItem(const std::string& epc) const {
@@ -71,7 +71,7 @@ void RetailSimulator::Schedule(ScriptedAction action) {
 
 void RetailSimulator::Schedule(int64_t at_tick, ActionKind kind,
                                const std::string& epc, int area_id) {
-  Schedule(ScriptedAction{at_tick, kind, epc, area_id});
+  Schedule(ScriptedAction{at_tick, kind, epc, area_id, std::string()});
 }
 
 void RetailSimulator::ApplyDueActions() {

@@ -85,7 +85,8 @@ class ElasticPolicy {
 
   const ElasticConfig& config() const { return config_; }
 
-  // --- counters (surfaced through RuntimeStats / StatsReport) ---
+  // --- counters (surfaced through Describe() in StatsReport and through
+  // ShardedRuntime::ScrapeMetrics) ---
   uint64_t checks() const { return checks_; }
   uint64_t grow_decisions() const { return grow_decisions_; }
   uint64_t shrink_decisions() const { return shrink_decisions_; }

@@ -231,12 +231,6 @@ Status ShardedRuntime::InstallQuery(QueryId id, QueryEntry entry) {
     if (!result.ok()) return result.status();
     ++broadcast_queries_;
     ++hosts.broadcast;
-    if (entry.stateful) {
-      ++hosts.broadcast_stateful;
-      if (entry.window_ticks >= 0 && config_.retain_for_checkpoint) {
-        hosts.max_window = std::max(hosts.max_window, entry.window_ticks);
-      }
-    }
   }
   queries_.emplace(id, std::move(entry));
   next_id_ = std::max(next_id_, id + 1);
@@ -308,7 +302,6 @@ void ShardedRuntime::DropQuery(std::map<QueryId, QueryEntry>::iterator it) {
   } else {
     --broadcast_queries_;
     --hosts.broadcast;
-    if (it->second.stateful) --hosts.broadcast_stateful;
   }
   queries_.erase(it);
   RecomputeStreamWindows();
@@ -319,8 +312,7 @@ void ShardedRuntime::DropQuery(std::map<QueryId, QueryEntry>::iterator it) {
 void ShardedRuntime::RecomputeStreamWindows() {
   for (StreamQueries& hosts : stream_queries_) hosts.max_window = -1;
   for (const auto& [id, entry] : queries_) {
-    if (!entry.stateful || entry.window_ticks < 0) continue;
-    if (!entry.sharded && !config_.retain_for_checkpoint) continue;
+    if (!entry.sharded || !entry.stateful || entry.window_ticks < 0) continue;
     StreamQueries& hosts = QueriesFor(entry.stream);
     hosts.max_window = std::max(hosts.max_window, entry.window_ticks);
   }
@@ -544,8 +536,7 @@ Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
 
   // Quiesce: after WaitIdle every in-flight batch is drained and all
   // merge-safe output is delivered, so the only live state is in the
-  // engines — which is serialized directly below (snapshot v2); no
-  // window-replayability precondition remains.
+  // engines — which is serialized directly below.
   WaitIdle();
 
   CheckpointState state;
@@ -580,7 +571,6 @@ Result<ShardedRuntime::CheckpointState> ShardedRuntime::ExportCheckpoint() {
   // engine (a sharded query has a plan instance in every shard engine),
   // plus each engine's own counters. The workers are parked on their rings
   // after WaitIdle, so reading the engines here is race-free.
-  state.has_engine_state = true;
   for (const auto& [id, entry] : queries_) {
     if (entry.sharded) {
       for (int s = 0; s < config_.shard_count; ++s) {
@@ -625,8 +615,7 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
     if (worker->thread.joinable()) worker->thread.join();
   }
 
-  // Per-stream dispatch stamps first: the muted clock broadcast below and
-  // all future routing read them.
+  // Per-stream dispatch stamps first: all future routing reads them.
   for (const CheckpointState::Stream& stream : state.streams) {
     partitioner_.RestoreStream(stream.name, stream.clock, stream.last_seq,
                                stream.events);
@@ -635,7 +624,7 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
     stream_queries_.resize(partitioner_.streams().size());
   }
 
-  // Hot-key splits before any replay or routing: a secondary-split key's
+  // Hot-key splits before any routing: a secondary-split key's
   // sub-partition state lives on the shard the (key, secondary) sub-hash
   // picks, so the recovered process must route identically from the start.
   for (const CheckpointState::Split& split : state.splits) {
@@ -653,8 +642,13 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
                        split.secondary_attr);
   }
 
-  // Checkpointed queries in id (= registration) order; ids are handed out
-  // monotonically, so registered_at is non-decreasing along this order.
+  // Register every checkpointed query under its original id and
+  // registration position, in id (= registration) order; then load each
+  // hosting engine's serialized state wholesale and refill the resize
+  // replay buffer from the window events. No replay and no watermark
+  // re-silencing: the restored engines hold exactly the stacks, negation
+  // buffers, parked deferrals and aggregate accumulators the checkpointed
+  // engines held at the quiesce point.
   std::vector<const CheckpointState::Query*> queries;
   queries.reserve(state.queries.size());
   for (const CheckpointState::Query& query : state.queries) {
@@ -664,181 +658,80 @@ Status ShardedRuntime::RestoreCheckpoint(const CheckpointState& state,
             [](const CheckpointState::Query* a, const CheckpointState::Query* b) {
               return a->id < b->id;
             });
-  size_t next = 0;
-  auto register_up_to = [&](uint64_t global) -> Status {
-    while (next < queries.size() && queries[next]->registered_at < global) {
-      const CheckpointState::Query& query = *queries[next];
-      auto entry = AnalyzeEntry(query.text,
-                                callbacks ? callbacks(query.id) : nullptr,
-                                query.options);
-      if (!entry.ok()) return entry.status();
-      entry.value().registered_at = query.registered_at;
-      SASE_RETURN_IF_ERROR(InstallQuery(query.id, std::move(entry).value()));
-      ++next;
+  for (const CheckpointState::Query* query : queries) {
+    auto entry = AnalyzeEntry(query->text,
+                              callbacks ? callbacks(query->id) : nullptr,
+                              query->options);
+    if (!entry.ok()) return entry.status();
+    entry.value().registered_at = query->registered_at;
+    SASE_RETURN_IF_ERROR(InstallQuery(query->id, std::move(entry).value()));
+  }
+  std::set<std::pair<int, QueryId>> restored;
+  for (const CheckpointState::PlanState& plan : state.plan_states) {
+    if (plan.worker < 0 ||
+        static_cast<size_t>(plan.worker) >= workers_.size()) {
+      return Status::InvalidArgument(
+          "engine-state payload references worker " +
+          std::to_string(plan.worker) + " of a " +
+          std::to_string(config_.shard_count) + "-shard runtime");
     }
-    return Status::Ok();
-  };
-
-  if (state.has_engine_state) {
-    // Snapshot v2: direct operator-state restore. Register everything, load
-    // each hosting engine's serialized state wholesale, and refill the
-    // resize replay buffer from the window events. No muted replay and no
-    // watermark re-silencing: the restored engines hold exactly the stacks,
-    // negation buffers, parked deferrals and aggregate accumulators the
-    // checkpointed engines held at the quiesce point.
-    SASE_RETURN_IF_ERROR(
-        register_up_to(std::numeric_limits<uint64_t>::max()));
-    std::set<std::pair<int, QueryId>> restored;
-    for (const CheckpointState::PlanState& plan : state.plan_states) {
-      if (plan.worker < 0 ||
-          static_cast<size_t>(plan.worker) >= workers_.size()) {
-        return Status::InvalidArgument(
-            "engine-state payload references worker " +
-            std::to_string(plan.worker) + " of a " +
-            std::to_string(config_.shard_count) + "-shard runtime");
-      }
-      QueryEngine& engine = *workers_[static_cast<size_t>(plan.worker)]->engine;
-      Status loaded = plan.query == 0
-                          ? engine.RestoreEngineState(plan.data)
-                          : engine.RestoreState(plan.query, plan.data);
-      if (!loaded.ok()) {
-        return Status::InvalidArgument(
-            "cannot restore engine state of query #" +
-            std::to_string(plan.query) + " on worker " +
-            std::to_string(plan.worker) + ": " + loaded.ToString());
-      }
-      restored.emplace(plan.worker, plan.query);
+    QueryEngine& engine = *workers_[static_cast<size_t>(plan.worker)]->engine;
+    Status loaded = plan.query == 0
+                        ? engine.RestoreEngineState(plan.data)
+                        : engine.RestoreState(plan.query, plan.data);
+    if (!loaded.ok()) {
+      return Status::InvalidArgument(
+          "cannot restore engine state of query #" +
+          std::to_string(plan.query) + " on worker " +
+          std::to_string(plan.worker) + ": " + loaded.ToString());
     }
-    // Completeness: every registered query must have received a payload on
-    // every engine hosting it. A payload silently missing (lost section,
-    // corrupted kind field) would otherwise restore the query with empty
-    // operator state — exactly the state loss checkpoints exist to prevent.
-    for (const auto& [id, entry] : queries_) {
-      if (entry.sharded) {
-        for (int s = 0; s < config_.shard_count; ++s) {
-          if (restored.count({s, id}) == 0) {
-            return Status::InvalidArgument(
-                "snapshot carries no engine-state payload for query #" +
-                std::to_string(id) + " on shard " + std::to_string(s));
-          }
-        }
-      } else if (restored.count({broadcast_index(), id}) == 0) {
-        return Status::InvalidArgument(
-            "snapshot carries no engine-state payload for query #" +
-            std::to_string(id) + " on the broadcast engine");
-      }
-    }
-    // Likewise each worker's engine-counter payload (query id 0): losing
-    // one would silently reset events_processed_ and break the stats
-    // continuity the checkpoint guarantees. Only enforced when the state
-    // carries runtime payloads at all — a snapshot taken by a runtime-less
-    // (serial-only) system legitimately has none.
-    if (!state.plan_states.empty()) {
-      for (const auto& worker : workers_) {
-        if (restored.count({worker->index, 0}) == 0) {
+    restored.emplace(plan.worker, plan.query);
+  }
+  // Completeness: every registered query must have received a payload on
+  // every engine hosting it. A payload silently missing (lost section,
+  // corrupted kind field) would otherwise restore the query with empty
+  // operator state — exactly the state loss checkpoints exist to prevent.
+  for (const auto& [id, entry] : queries_) {
+    if (entry.sharded) {
+      for (int s = 0; s < config_.shard_count; ++s) {
+        if (restored.count({s, id}) == 0) {
           return Status::InvalidArgument(
-              "snapshot carries no engine-counter payload for worker " +
-              std::to_string(worker->index));
+              "snapshot carries no engine-state payload for query #" +
+              std::to_string(id) + " on shard " + std::to_string(s));
         }
       }
+    } else if (restored.count({broadcast_index(), id}) == 0) {
+      return Status::InvalidArgument(
+          "snapshot carries no engine-state payload for query #" +
+          std::to_string(id) + " on the broadcast engine");
     }
-    for (const CheckpointState::WindowEvent& entry : state.window) {
-      if (entry.stream >= partitioner_.streams().size()) {
+  }
+  // Likewise each worker's engine-counter payload (query id 0): losing
+  // one would silently reset events_processed_ and break the stats
+  // continuity the checkpoint guarantees. Only enforced when the state
+  // carries runtime payloads at all — a snapshot taken by a runtime-less
+  // (serial-only) system legitimately has none.
+  if (!state.plan_states.empty()) {
+    for (const auto& worker : workers_) {
+      if (restored.count({worker->index, 0}) == 0) {
         return Status::InvalidArgument(
-            "window event references unknown stream");
+            "snapshot carries no engine-counter payload for worker " +
+            std::to_string(worker->index));
       }
-      if (replay_.size() <= entry.stream) {
-        replay_.resize(static_cast<size_t>(entry.stream) + 1);
-      }
-      replay_[entry.stream].push_back(ReplayEntry{entry.global, entry.event});
-      ++replay_len_;
     }
-    return FinishRestore(state);
   }
-
-  // v1 snapshot: no serialized engine state — rebuild by muted replay of
-  // the in-flight window in original dispatch order (k-way merge of the
-  // per-stream runs by global index), re-registering each query between the
-  // same two events it was originally registered between. This is the
-  // Resize replay generalized to a fresh broadcast engine: the replay
-  // output is discarded below, and the muted clock broadcast re-parks
-  // deferrals whose release was already delivered before the checkpoint.
-  std::vector<size_t> pos(partitioner_.streams().size(), 0);
-  std::vector<std::vector<const CheckpointState::WindowEvent*>> runs(
-      partitioner_.streams().size());
   for (const CheckpointState::WindowEvent& entry : state.window) {
-    if (entry.stream >= runs.size()) {
-      return Status::InvalidArgument("window event references unknown stream");
+    if (entry.stream >= partitioner_.streams().size()) {
+      return Status::InvalidArgument(
+          "window event references unknown stream");
     }
-    runs[entry.stream].push_back(&entry);
-  }
-  while (true) {
-    size_t best = runs.size();
-    uint64_t best_global = std::numeric_limits<uint64_t>::max();
-    for (size_t s = 0; s < runs.size(); ++s) {
-      if (pos[s] < runs[s].size() && runs[s][pos[s]]->global < best_global) {
-        best_global = runs[s][pos[s]]->global;
-        best = s;
-      }
-    }
-    if (best == runs.size()) break;
-    const CheckpointState::WindowEvent& entry = *runs[best][pos[best]++];
-    SASE_RETURN_IF_ERROR(register_up_to(entry.global));
-    const StreamQueries& hosts = QueriesFor(entry.stream);
-    const std::string& name = partitioner_.streams()[entry.stream].name;
-    if (hosts.sharded > 0) {
-      QueryEngine& engine =
-          *workers_[static_cast<size_t>(partitioner_.ShardFor(entry.stream,
-                                                              *entry.event))]
-               ->engine;
-      if (name.empty()) {
-        engine.OnEvent(entry.event);
-      } else {
-        engine.OnStreamEvent(name, entry.event);
-      }
-    }
-    if (hosts.broadcast > 0) {
-      QueryEngine& engine = *broadcast_worker().engine;
-      if (name.empty()) {
-        engine.OnEvent(entry.event);
-      } else {
-        engine.OnStreamEvent(name, entry.event);
-      }
-    }
-    // Refill the replay window for future resizes/checkpoints.
     if (replay_.size() <= entry.stream) {
       replay_.resize(static_cast<size_t>(entry.stream) + 1);
     }
     replay_[entry.stream].push_back(ReplayEntry{entry.global, entry.event});
     ++replay_len_;
   }
-  SASE_RETURN_IF_ERROR(
-      register_up_to(std::numeric_limits<uint64_t>::max()));
 
-  // Muted clock broadcast: deferrals whose release window closed before the
-  // checkpoint were delivered before it; re-release them into the discard
-  // pile so only genuinely parked deferrals survive — exactly the Resize
-  // replay's re-silencing, extended to the fresh broadcast engine.
-  for (const Partitioner::StreamState& stream : partitioner_.streams()) {
-    if (stream.events == 0) continue;
-    for (auto& worker : workers_) {
-      if (stream.name.empty()) {
-        worker->engine->OnWatermark(stream.clock);
-      } else {
-        worker->engine->OnStreamWatermark(stream.name, stream.clock);
-      }
-    }
-  }
-  for (auto& worker : workers_) {
-    std::lock_guard<std::mutex> lock(worker->out_mutex);
-    worker->out.clear();
-    worker->arrival_counter = 0;
-  }
-
-  return FinishRestore(state);
-}
-
-Status ShardedRuntime::FinishRestore(const CheckpointState& state) {
   // Continue the crashed process's dispatch clock so checkpointed positions
   // (registration points, window globals) compare directly with indices
   // issued from here on.
@@ -1178,12 +1071,11 @@ void ShardedRuntime::MaybeAdaptBatch() {
 void ShardedRuntime::RetainForReplay(StreamId stream, const EventPtr& event,
                                      uint64_t global) {
   const StreamQueries& hosts = QueriesFor(stream);
-  // Only streams read by a stateful query with a finite WITHIN window need
-  // replay material (stateless queries rebuild from nothing;
-  // unbounded-window queries make Resize/ExportCheckpoint refuse outright,
-  // so buffering for them would only grow without bound). Broadcast
-  // stateful windows count only under retain_for_checkpoint — see
-  // RetentionNeeded.
+  // Only streams read by a sharded stateful query with a finite WITHIN
+  // window need replay material (stateless queries rebuild from nothing,
+  // broadcast-hosted ones are carried over by Resize, and unbounded-window
+  // queries make Resize refuse outright, so buffering for them would only
+  // grow without bound).
   if (RetentionNeeded(hosts)) {
     if (replay_.size() <= stream) {
       replay_.resize(static_cast<size_t>(stream) + 1);
@@ -1354,27 +1246,6 @@ QueryEngine::EngineStats ShardedRuntime::Stats() {
   return total;
 }
 
-ShardedRuntime::RuntimeStats ShardedRuntime::FullStats() {
-  RuntimeStats stats;
-  stats.engine = Stats();  // quiesces
-  stats.events_dispatched = events_dispatched_;
-  stats.records_merged = merger_.merged_count();
-  stats.merge_pending = merger_.pending_count();
-  stats.dispatch_log_len = merger_.log_len();
-  stats.peak_dispatch_log_len = merger_.peak_log_len();
-  stats.log_compactions = merger_.compaction_count();
-  stats.log_entries_compacted = merger_.compacted_entries();
-  stats.stream_count = partitioner_.streams().size();
-  stats.shard_count = config_.shard_count;
-  stats.resizes = resizes_;
-  stats.grows = grows_;
-  stats.shrinks = shrinks_;
-  stats.events_replayed = events_replayed_;
-  stats.replay_buffer_len = replay_len_;
-  stats.elastic_checks = policy_.checks();
-  return stats;
-}
-
 std::string ShardedRuntime::StatsReport() {
   WaitIdle();
   std::ostringstream out;
@@ -1500,8 +1371,9 @@ void ShardedRuntime::ScrapeMetrics() {
   metrics->GetGauge("sase_runtime_merge_watermark_lag")
       ->Set(static_cast<int64_t>(lag));
 
-  // Quiesce, then mirror the truth counters — the same numbers FullStats()
-  // and StatsReport() read, so registry and report can never disagree.
+  // Quiesce, then mirror the truth counters — the same numbers the live
+  // accessors and StatsReport() read, so registry and report can never
+  // disagree.
   WaitIdle();
   metrics->GetCounter("sase_runtime_events_dispatched_total")
       ->Set(events_dispatched_);

@@ -62,13 +62,6 @@ struct RuntimeConfig {
   /// compaction — the log then grows with the stream, the pre-compaction
   /// behavior kept for benchmarking the difference.
   size_t log_compact_min = 1024;
-  /// Extend the in-flight replay window to also cover broadcast-hosted
-  /// stateful queries with a finite WITHIN span. Elastic Resize never needs
-  /// that (the broadcast engine is carried over live), but a durable
-  /// checkpoint rebuilds every engine by replay, so the checkpoint subsystem
-  /// turns this on. Costs replay-buffer memory proportional to the extra
-  /// windows; see ExportCheckpoint.
-  bool retain_for_checkpoint = false;
   /// Load-driven shard autoscaling (off by default); see
   /// runtime/elastic_policy.h for the thresholds and ShardedRuntime::Resize
   /// for the mechanism it triggers.
@@ -217,15 +210,12 @@ class ShardedRuntime : public EventSink {
 
   /// Serialized-state view of the runtime at a quiesce point — what a
   /// durable checkpoint persists and what a cross-process handoff would put
-  /// on the wire. Since snapshot v2 the engines' operator state is
-  /// serialized directly (`plan_states`, one payload per query per hosting
-  /// engine, via QueryEngine::SerializeState): RestoreCheckpoint rebuilds
-  /// each engine from its payloads instead of replaying the in-flight
-  /// window, which lifts the old window-replayability restrictions
-  /// (aggregates, stateful queries without WITHIN). The window events still
-  /// ride along — they refill the resize replay buffer, and they remain the
-  /// rebuild recipe for v1 snapshots (`has_engine_state == false`), whose
-  /// muted-replay restore path is kept for backward compatibility.
+  /// on the wire. The engines' operator state is serialized directly
+  /// (`plan_states`, one payload per query per hosting engine, via
+  /// QueryEngine::SerializeState), and RestoreCheckpoint rebuilds each
+  /// engine from its payloads — aggregates and stateful queries without
+  /// WITHIN included. The window events ride along only to refill the
+  /// resize replay buffer, so a Resize after recovery can still replay.
   struct CheckpointState {
     /// One QueryEngine::SerializeState payload: the operator state of
     /// query `query` on worker `worker` (shards 0..N-1, broadcast == N).
@@ -276,10 +266,6 @@ class ShardedRuntime : public EventSink {
     std::vector<Query> queries;   // id (= registration) order
     std::vector<Stream> streams;  // StreamId order
     std::vector<WindowEvent> window;
-    /// Direct operator-state payloads (snapshot v2). False/empty when the
-    /// state was read from a v1 snapshot — restore then falls back to
-    /// muted window replay.
-    bool has_engine_state = false;
     std::vector<PlanState> plan_states;
     std::vector<Split> splits;  // (stream, key) order
   };
@@ -300,21 +286,15 @@ class ShardedRuntime : public EventSink {
   /// Rebuilds checkpointed state into this runtime (recovery bootstrap).
   /// The runtime must be freshly constructed, with the same shard count and
   /// partition key the state was captured under. Restores the per-stream
-  /// dispatch stamps and re-registers every query at its original
-  /// registration position, then:
-  ///   - v2 state (`has_engine_state`): loads each hosting engine's
-  ///     serialized operator state directly (QueryEngine::RestoreState) and
-  ///     refills the resize replay buffer from the window events — no
-  ///     replay, no watermark re-silencing; the engines resume holding
-  ///     exactly the stacks, buffers, parked deferrals and aggregate
-  ///     accumulators the checkpointed engines held;
-  ///   - v1 state: deterministically replays the in-flight window with
-  ///     registrations interleaved at their original dispatch positions,
-  ///     discarding the replay output and re-silencing already-released
-  ///     deferrals exactly like a Resize replay.
-  /// Either way the global dispatch clock continues from the checkpoint, so
-  /// positions recorded before the crash stay comparable with indices
-  /// issued after recovery.
+  /// dispatch stamps and the hot-key split table, re-registers every query
+  /// under its original id and registration position, loads each hosting
+  /// engine's serialized operator state (QueryEngine::RestoreState) and
+  /// refills the resize replay buffer from the window events — no replay,
+  /// no watermark re-silencing: the engines resume holding exactly the
+  /// stacks, buffers, parked deferrals and aggregate accumulators the
+  /// checkpointed engines held. The global dispatch clock continues from
+  /// the checkpoint, so positions recorded before the crash stay comparable
+  /// with indices issued after recovery.
   Status RestoreCheckpoint(const CheckpointState& state,
                            const CallbackResolver& callbacks);
 
@@ -387,29 +367,6 @@ class ShardedRuntime : public EventSink {
   /// engines, so call from the dispatcher thread at a quiesce point
   /// (after WaitIdle or OnFlush).
   uint64_t shared_scan_hits() const;
-
-  /// Fleet-wide runtime counters: the aggregated engine view plus dispatch,
-  /// merge, dispatch-log and elastic/resize health (quiesces first).
-  struct RuntimeStats {
-    QueryEngine::EngineStats engine;
-    uint64_t events_dispatched = 0;
-    uint64_t records_merged = 0;
-    size_t merge_pending = 0;
-    size_t dispatch_log_len = 0;
-    size_t peak_dispatch_log_len = 0;
-    uint64_t log_compactions = 0;
-    uint64_t log_entries_compacted = 0;
-    size_t stream_count = 0;  // interned input streams (incl. default)
-    // --- elastic / resize ---
-    int shard_count = 0;           // current layout
-    uint64_t resizes = 0;          // completed Resize() calls (manual + auto)
-    uint64_t grows = 0;            // resizes that increased the shard count
-    uint64_t shrinks = 0;          // resizes that decreased it
-    uint64_t events_replayed = 0;  // replay work across all resizes
-    size_t replay_buffer_len = 0;  // retained in-flight window, in events
-    uint64_t elastic_checks = 0;   // policy evaluations
-  };
-  RuntimeStats FullStats();
 
   /// Multi-line fleet view: per-worker engine lines, merger and dispatch-log
   /// state, and one line per input stream (events, queries, per-shard
@@ -510,12 +467,11 @@ class ShardedRuntime : public EventSink {
   struct StreamQueries {
     size_t sharded = 0;
     size_t broadcast = 0;
-    /// Stateful queries reading this stream by host, and the largest WITHIN
-    /// span among those that count toward retention (-1 = none): the
-    /// stream's replay-retention window. Broadcast stateful queries extend
-    /// the window only under RuntimeConfig::retain_for_checkpoint.
+    /// Sharded stateful queries reading this stream, and the largest WITHIN
+    /// span among them (-1 = none): the stream's replay-retention window.
+    /// Broadcast-hosted queries never count — Resize carries the broadcast
+    /// engine over and never replays into it.
     size_t sharded_stateful = 0;
-    size_t broadcast_stateful = 0;
     Ticks max_window = -1;
   };
 
@@ -545,10 +501,8 @@ class ShardedRuntime : public EventSink {
   /// must be quiescent (WaitIdle) or parked (restore/replay).
   Status InstallQuery(QueryId id, QueryEntry entry);
   /// True when `stream`'s events must be retained for replay.
-  bool RetentionNeeded(const StreamQueries& hosts) const {
-    return (hosts.sharded_stateful > 0 ||
-            (config_.retain_for_checkpoint && hosts.broadcast_stateful > 0)) &&
-           hosts.max_window >= 0;
+  static bool RetentionNeeded(const StreamQueries& hosts) {
+    return hosts.sharded_stateful > 0 && hosts.max_window >= 0;
   }
   /// Largest WITHIN span per stream can shrink on Unregister; rescan.
   void RecomputeStreamWindows();
@@ -583,9 +537,6 @@ class ShardedRuntime : public EventSink {
   /// Registers sharded query `id` into every shard engine (fresh capture
   /// callbacks); shared by Register and resize replay.
   Status RegisterIntoShards(QueryId id, const QueryEntry& entry);
-  /// Shared tail of RestoreCheckpoint's direct (v2) and replay (v1) paths:
-  /// continues the dispatch clock and restarts the worker threads.
-  Status FinishRestore(const CheckpointState& state);
   /// Drops a query's bookkeeping (counters, per-stream windows, replay
   /// retention) and erases it; shared by Unregister and the resize replay's
   /// failed-re-registration path. Does NOT touch the engines.
@@ -663,7 +614,7 @@ class ShardedRuntime : public EventSink {
   size_t broadcast_queries_ = 0;
   /// Sharded stateful queries with no WITHIN bound: while > 0 a resize has
   /// no finite replay window and Resize refuses. (Checkpointing has no such
-  /// restriction since snapshot v2: engine state is serialized directly.)
+  /// restriction: engine state is serialized directly.)
   size_t unbounded_sharded_ = 0;
   /// True for the duration of a Resize; callbacks fired at the resize
   /// quiesce point see it and ExportCheckpoint refuses.

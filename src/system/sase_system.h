@@ -43,10 +43,9 @@ struct SystemConfig {
   /// execute across `shard_count` worker threads, partitioned by
   /// `partition_key`. Archiving rules and function-calling (hybrid
   /// stream+database) queries always run on the serial engine so that only
-  /// the simulation thread touches the Event Database. 0/1 = fully serial
-  /// (the seed behavior) — unless durable checkpointing is enabled, which
-  /// attaches a single-shard runtime so pure stream queries live on the
-  /// engines the checkpoint subsystem knows how to rebuild.
+  /// the simulation thread touches the Event Database. 0/1 = fully serial:
+  /// no runtime, every query on the serial engine (checkpointing included —
+  /// serial-engine state is checkpointed like any other).
   int shard_count = 1;
   std::string partition_key = "TagId";
   /// Runtime merge cadence (events between incremental merges + clock
@@ -169,8 +168,9 @@ class SaseSystem {
   RetailSimulator& simulator() { return *simulator_; }
   CleaningPipeline& cleaning() { return *cleaning_; }
   QueryEngine& engine() { return *engine_; }
-  /// The parallel execution runtime; nullptr when shard_count <= 1 and
-  /// checkpointing is disabled.
+  /// The parallel execution runtime; nullptr when shard_count <= 1 (except
+  /// on a system recovered from a snapshot taken with a runtime attached,
+  /// e.g. one a Resize had shrunk to a single shard).
   ShardedRuntime* runtime() { return runtime_.get(); }
   db::Database& database() { return database_; }
   db::Ons& ons() { return *ons_; }
@@ -254,17 +254,17 @@ class SaseSystem {
   // --- durable checkpoint & crash recovery (src/checkpoint/) ---
 
   /// Writes a durable checkpoint: quiesces the runtime, persists a
-  /// versioned snapshot (registered queries in dispatch order, per-stream
-  /// dispatch stamps, the in-flight replay window, runtime shape, delivery
-  /// watermarks, and the Event Database via db::Dump) into `dir` — or into
-  /// the configured checkpoint directory when `dir` is empty — and, when
-  /// journaling into that same directory, rotates the event journal onto a
-  /// fresh epoch and garbage-collects the superseded one.
+  /// snapshot (registered queries, every hosting engine's serialized
+  /// operator state, per-stream dispatch stamps, the resize replay window,
+  /// runtime shape, delivery and acked-cursor watermarks, and the Event
+  /// Database via db::Dump) into `dir` — or into the configured checkpoint
+  /// directory when `dir` is empty — and, when journaling into that same
+  /// directory, rotates the event journal onto a fresh epoch and
+  /// garbage-collects the superseded one. Works with or without a runtime.
   ///
   /// Refuses with kFailedPrecondition while a runtime Resize is mid-flight,
-  /// and when any registered query is not window-replayable (a stateful
-  /// query with no WITHIN span, or a running aggregate): such state cannot
-  /// be rebuilt from a finite replay window, so a checkpoint would lie.
+  /// and when a serial-engine query was registered from a pre-parsed AST
+  /// (it has no text to re-register on recovery; the error names it).
   Status Checkpoint(const std::string& dir = "");
 
   /// Re-attaches user callbacks on recovery (callbacks cannot be
@@ -273,12 +273,14 @@ class SaseSystem {
   using CallbackFactory = std::function<OutputCallback(const std::string&)>;
 
   /// Rebuilds a SaseSystem from a checkpoint directory: restores the Event
-  /// Database, re-registers every query, mutedly replays the snapshot's
-  /// in-flight window, then replays the event journal suffix — suppressing
-  /// exactly the records the crashed process already delivered (tracked by
-  /// the journal's output marks) — so the recovered system resumes emitting
-  /// byte-identical output from the record where the crash cut it off. The
-  /// recovered system keeps journaling into `dir`.
+  /// Database, re-registers every query and loads its serialized operator
+  /// state, then replays the event journal suffix — suppressing exactly the
+  /// records the crashed process already delivered (or, under
+  /// AckMode::kConsumer, acknowledged) — so the recovered system resumes
+  /// emitting byte-identical output from the record where the crash cut it
+  /// off. The recovered system keeps journaling into `dir`. A directory in
+  /// a snapshot format other than checkpoint::kSnapshotFormat fails with
+  /// kInvalidArgument naming both formats.
   ///
   /// `config` supplies the non-checkpointed knobs (noise, tick length,
   /// report echo...); the runtime shape (shard count, partition key) comes
@@ -343,11 +345,6 @@ class SaseSystem {
   uint64_t recovered_journal_records() const { return recovered_records_; }
   /// True when that recovery stopped early at a torn/corrupt journal tail.
   bool recovered_journal_truncated() const { return recovered_truncated_; }
-  /// True when recovery ran under AckMode::kConsumer but found no acked
-  /// cursor anywhere (pre-v3 snapshot, no kAckCursor journal records) and
-  /// fell back to the delivered-output marks — the documented at-least-once
-  /// fallback for pre-cursor checkpoints.
-  bool recovered_ack_fallback() const { return recovered_ack_fallback_; }
   /// Re-deliveries the recovery gate swallowed (suppression quota consumed)
   /// over this system's lifetime.
   uint64_t suppressed_duplicates() const { return suppressed_duplicates_; }
@@ -361,6 +358,9 @@ class SaseSystem {
     /// Mutable: FinishRecovery moves the engine-state payloads out rather
     /// than double-buffering them (they embed whole event tables).
     checkpoint::SystemSnapshot* snapshot = nullptr;  // null at epoch 0
+    /// The snapshot carries runtime engine state: the crashed process ran
+    /// a runtime (at any shard count), so the recovered one attaches one.
+    bool had_runtime = false;
   };
 
   SaseSystem(StoreLayout layout, SystemConfig config,
@@ -398,8 +398,9 @@ class SaseSystem {
   /// policy and acts on it.
   void AfterEventProcessed();
   Status OpenJournal(uint64_t epoch, uint64_t segment);
-  /// Registers the snapshot's queries and replays window + journal; runs
-  /// with `recovering_` set so the taps stay dormant.
+  /// Registers the snapshot's queries, restores their engine state and
+  /// replays the journal suffix; runs with `recovering_` set so the taps
+  /// stay dormant.
   Status FinishRecovery(const RecoverySpec& spec, const CallbackFactory& callbacks);
 
   Catalog catalog_;
@@ -462,7 +463,6 @@ class SaseSystem {
   uint64_t acked_runtime_ = 0;
   uint64_t acked_serial_ = 0;
   uint64_t suppressed_duplicates_ = 0;
-  bool recovered_ack_fallback_ = false;
   // Policy baseline + stats.
   uint64_t events_since_checkpoint_ = 0;
   uint64_t journal_bytes_at_checkpoint_ = 0;

@@ -350,7 +350,6 @@ TEST(SnapshotTest, EngineStateSectionsRoundTrip) {
   ASSERT_TRUE(WriteSnapshot(dir, snap, database).ok());
   auto read = ReadSnapshot(dir, 1, nullptr);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().format, kSnapshotFormatV4);
   ASSERT_EQ(read.value().engine_state.size(), 3u);
   EXPECT_EQ(read.value().engine_state[0].kind, "plan");
   EXPECT_EQ(read.value().engine_state[0].host, "shard-0");
@@ -432,15 +431,34 @@ TEST(SnapshotTest, ManifestFormatNegotiation) {
   EXPECT_NE(manifest.status().message().find("format 99"), std::string::npos)
       << manifest.status().ToString();
 
-  // A format-less manifest (v1 writer) still reads.
+  // An older format is refused the same way: one format, one reader.
+  {
+    std::ofstream out(dir + "/MANIFEST");
+    out << "SASE-MANIFEST v1\nsnapshot 1\nformat 3\n";
+  }
+  manifest = ReadManifest(dir);
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_EQ(manifest.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(manifest.status().message().find("format 3"), std::string::npos)
+      << manifest.status().ToString();
+  EXPECT_NE(manifest.status().message().find("only format 4"),
+            std::string::npos)
+      << manifest.status().ToString();
+
+  // So is a format-less manifest (the pre-format-2 layout).
   {
     std::ofstream out(dir + "/MANIFEST");
     out << "SASE-MANIFEST v1\nsnapshot 1\n";
   }
-  EXPECT_TRUE(ReadManifest(dir).ok());
+  manifest = ReadManifest(dir);
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_EQ(manifest.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(manifest.status().message().find("no format line"),
+            std::string::npos)
+      << manifest.status().ToString();
 }
 
-TEST(SnapshotTest, AckedCursorRoundTripsAndPreCursorSnapshotsStillRead) {
+TEST(SnapshotTest, AckedCursorRoundTripsAndOlderStateFilesAreRefused) {
   db::Database database;
   SystemSnapshot snap;
   snap.snapshot_id = 2;
@@ -454,36 +472,51 @@ TEST(SnapshotTest, AckedCursorRoundTripsAndPreCursorSnapshotsStillRead) {
 
   auto read = ReadSnapshot(dir, 2, nullptr);
   ASSERT_TRUE(read.ok()) << read.status().ToString();
-  EXPECT_EQ(read.value().format, kSnapshotFormatV4);
-  EXPECT_TRUE(read.value().has_acked);
   EXPECT_EQ(read.value().acked_runtime, 9u);
   EXPECT_EQ(read.value().acked_serial, 5u);
 
-  // Downgrade the state file to a pre-cursor (v2) snapshot on disk: v2
-  // header, no ACKED line. The reader must still accept it and report the
-  // cursor as absent (has_acked false) rather than inventing "acked 0|0".
   std::string state_path = dir + "/snap-2/state.sase";
-  std::ifstream in(state_path);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  in.close();
-  std::string text = buffer.str();
-  size_t header = text.find("SASE-CHECKPOINT v4");
-  ASSERT_NE(header, std::string::npos);
-  text.replace(header, 18, "SASE-CHECKPOINT v2");
-  size_t acked_line = text.find("ACKED ");
-  ASSERT_NE(acked_line, std::string::npos);
-  text.erase(acked_line, text.find('\n', acked_line) - acked_line + 1);
+  std::string text;
   {
-    std::ofstream out(state_path);
-    out << text;
+    std::ifstream in(state_path);
+    std::stringstream buffer;
+    buffer << in.rdbuf();
+    text = buffer.str();
   }
+  auto write_state = [&state_path](const std::string& contents) {
+    std::ofstream out(state_path, std::ios::trunc);
+    out << contents;
+  };
 
-  auto old_read = ReadSnapshot(dir, 2, nullptr);
-  ASSERT_TRUE(old_read.ok()) << old_read.status().ToString();
-  EXPECT_EQ(old_read.value().format, kSnapshotFormatV2);
-  EXPECT_FALSE(old_read.value().has_acked);
-  EXPECT_EQ(old_read.value().delivered_runtime, 12u);
+  // ACKED is a required line: a state file without it is malformed, never
+  // read as "acked 0|0".
+  std::string no_acked = text;
+  size_t acked_line = no_acked.find("ACKED ");
+  ASSERT_NE(acked_line, std::string::npos);
+  no_acked.erase(acked_line,
+                 no_acked.find('\n', acked_line) - acked_line + 1);
+  write_state(no_acked);
+  auto missing = ReadSnapshot(dir, 2, nullptr);
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.status().code(), StatusCode::kParseError);
+  EXPECT_NE(missing.status().message().find("ACKED"), std::string::npos)
+      << missing.status().ToString();
+
+  // A state file stamped with an older format is refused by name, even
+  // when the rest of it would parse.
+  std::string older = text;
+  size_t header = older.find("SASE-CHECKPOINT v4");
+  ASSERT_NE(header, std::string::npos);
+  older.replace(header, 18, "SASE-CHECKPOINT v2");
+  write_state(older);
+  auto refused = ReadSnapshot(dir, 2, nullptr);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(refused.status().message().find("format 2"), std::string::npos)
+      << refused.status().ToString();
+  EXPECT_NE(refused.status().message().find("only format 4"),
+            std::string::npos)
+      << refused.status().ToString();
 }
 
 TEST(SnapshotTest, MissingManifestIsNotFound) {

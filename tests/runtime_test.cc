@@ -170,7 +170,9 @@ TEST_F(PartitionerTest, RoutingIsDeterministicAndKeyStable) {
     ASSERT_LT(shard, 4);
     std::string key = event->attribute(tag).ToString();
     auto [it, inserted] = shard_of_tag.emplace(key, shard);
-    if (!inserted) EXPECT_EQ(it->second, shard) << "tag " << key;
+    if (!inserted) {
+      EXPECT_EQ(it->second, shard) << "tag " << key;
+    }
   }
   EXPECT_GT(shard_of_tag.size(), 1u);
 }
@@ -340,7 +342,9 @@ TEST_F(PartitionerTest, SecondarySplitPinsKeySecondaryPairs) {
       ASSERT_GE(shard, 0);
       ASSERT_LT(shard, 4);
       auto [it, inserted] = shard_of_container.emplace(container, shard);
-      if (!inserted) EXPECT_EQ(it->second, shard) << "container " << container;
+      if (!inserted) {
+        EXPECT_EQ(it->second, shard) << "container " << container;
+      }
     }
   }
   std::set<int> shards;
@@ -990,17 +994,19 @@ TEST(ShardedRuntimeResizeTest, GoldenByteIdenticalAcrossGrowAndShrink) {
   EXPECT_EQ(runtime.grow_count(), 2u);
   EXPECT_EQ(runtime.shrink_count(), 1u);
   EXPECT_GT(runtime.events_replayed(), 0u);
-  auto stats = runtime.FullStats();
-  EXPECT_EQ(stats.shard_count, 3);
-  EXPECT_EQ(stats.resizes, 3u);
-  EXPECT_EQ(stats.grows, 2u);
-  EXPECT_EQ(stats.shrinks, 1u);
-  EXPECT_EQ(stats.events_replayed, runtime.events_replayed());
+  EXPECT_EQ(runtime.shard_count(), 3);
+  std::string report = runtime.StatsReport();
+  EXPECT_NE(report.find("runtime shards=3"), std::string::npos) << report;
+  EXPECT_NE(report.find("resizes: total=3 up=2 down=1 replayed=" +
+                        std::to_string(runtime.events_replayed())),
+            std::string::npos)
+      << report;
   // Fleet engine counters are continuous across resizes (retired shard
   // engines' counters are carried over): 2000 default events to one shard
   // each + 2000 belt events to one shard each + 2000 belt events to the
   // broadcast worker (the COUNT query), plus each replayed event once.
-  EXPECT_EQ(stats.engine.events_processed, 6000u + stats.events_replayed);
+  EXPECT_EQ(runtime.Stats().events_processed,
+            6000u + runtime.events_replayed());
 }
 
 TEST(ShardedRuntimeResizeTest, DeferralStraddlingResizeReleasesExactlyOnce) {
@@ -1181,10 +1187,11 @@ TEST(ShardedRuntimeResizeTest, QuiescentStreamDoesNotPinOtherStreamsReplay) {
                   .ok());
   SequenceNumber seq = 0;
   auto make = [&](Timestamp ts) {
+    SequenceNumber n = seq++;
     EventBuilder b(catalog, "SHELF_READING");
-    auto e = b.Set("TagId", "TAG" + std::to_string(seq % 8))
+    auto e = b.Set("TagId", "TAG" + std::to_string(n % 8))
                  .Set("AreaId", int64_t{1})
-                 .Build(ts, seq++);
+                 .Build(ts, n);
     EXPECT_TRUE(e.ok());
     return e.value();
   };
@@ -1336,16 +1343,16 @@ TEST(ShardedRuntimeTest, StatsAggregateAcrossWorkers) {
   EXPECT_EQ(stats.outputs, outputs);
   EXPECT_GT(outputs, 0u);
   EXPECT_EQ(runtime.records_merged(), outputs);
-  auto full = runtime.FullStats();
-  EXPECT_EQ(full.engine.outputs, outputs);
-  EXPECT_EQ(full.events_dispatched, trace.size());
-  EXPECT_EQ(full.records_merged, outputs);
-  EXPECT_EQ(full.merge_pending, 0u);
-  EXPECT_EQ(full.dispatch_log_len, 0u);  // DrainFinal cleared the logs
-  EXPECT_GE(full.peak_dispatch_log_len, 1u);
-  EXPECT_EQ(full.stream_count, 1u);  // default input only
+  EXPECT_EQ(runtime.events_dispatched(), trace.size());
+  EXPECT_EQ(runtime.dispatch_log_len(), 0u);  // DrainFinal cleared the logs
+  EXPECT_GE(runtime.peak_dispatch_log_len(), 1u);
+  EXPECT_EQ(runtime.partitioner().streams().size(), 1u);  // default only
   std::string report = runtime.StatsReport();
-  EXPECT_NE(report.find("runtime shards=4"), std::string::npos);
+  EXPECT_NE(report.find("runtime shards=4 queries=1 (sharded=1 broadcast=0) "
+                        "dispatched=" + std::to_string(trace.size()) +
+                        " merged=" + std::to_string(outputs) + " pending=0"),
+            std::string::npos)
+      << report;
   EXPECT_NE(report.find("dispatch log:"), std::string::npos);
   EXPECT_NE(report.find("stream <default>:"), std::string::npos);
 }
