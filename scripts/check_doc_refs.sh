@@ -4,8 +4,8 @@
 #  1. Path references: fails when a doc references a repo path that does
 #     not exist. A "reference" is any backtick-quoted token that looks
 #     like a repo path: contains a slash or ends in a known source/doc
-#     extension. Tokens under build/ are ignored (they only exist after a
-#     build).
+#     extension. Tokens under build/ or ./build/ are ignored (they only
+#     exist after a build).
 #  2. Config knobs: every knob named in docs/operations.md's knob tables
 #     (rows of the form "| `knob_name` | ...") must exist as an
 #     identifier in src/system/sase_system.h, src/runtime/*.h,
@@ -32,7 +32,7 @@ for doc in README.md docs/language.md docs/operations.md docs/architecture.md do
   refs=$(grep -oE '`[A-Za-z0-9_./-]+`' "$doc" | tr -d '`' | sort -u)
   for ref in $refs; do
     case "$ref" in
-      build/*) continue ;;                      # build artifacts
+      build/*|./build/*) continue ;;            # build artifacts
       /*) continue ;;                           # absolute: URL paths like /metrics
       */*) ;;                                   # path with a directory
       *.md|*.cc|*.cpp|*.h|*.txt|*.yml|*.json) ;;  # bare file name

@@ -20,22 +20,15 @@ ShardedRuntime::ShardedRuntime(const Catalog* catalog, RuntimeConfig config,
       partitioner_(catalog, config_.partition_key,
                    std::max(1, config_.shard_count)),
       merger_(config_.log_compact_min), policy_(config.elastic),
-      batch_policy_(config.batch,
-                    config.batch_size == 0 ? 1 : config.batch_size),
       engine_init_(std::move(engine_init)) {
   config_.shard_count = std::max(1, config_.shard_count);
   if (config_.batch_size == 0) config_.batch_size = 1;
   stream_queries_.resize(partitioner_.streams().size());
   last_check_time_ = std::chrono::steady_clock::now();
-  batch_check_time_ = last_check_time_;
   obs_stamp_ = config_.metrics != nullptr || config_.tracer != nullptr;
   if (config_.metrics != nullptr) {
     dispatch_merge_latency_ =
         config_.metrics->GetHistogram("sase_runtime_dispatch_merge_latency_ns");
-    if (config_.batch.enabled) {
-      batch_size_hist_ =
-          config_.metrics->GetHistogram("sase_runtime_batch_size");
-    }
   }
   // Hot-key accounting rides the metrics switch — without a registry the
   // dispatch path keeps its null-branch-only overhead contract — unless
@@ -779,7 +772,7 @@ void ShardedRuntime::AppendToWorker(Worker* worker, const std::string& stream,
         trace_id, worker->pending.events.size() - 1, global});
   }
   worker->pending_last_global = global;
-  if (worker->pending.events.size() >= batch_policy_.current()) {
+  if (worker->pending.events.size() >= config_.batch_size) {
     FlushBatch(worker, nullptr, /*flush=*/false);
   }
 }
@@ -894,7 +887,6 @@ void ShardedRuntime::Dispatch(StreamId stream, const std::string& name,
   }
   if (config_.hotkey_mitigation) MaybeMitigateHotKeys();
   if (config_.elastic.enabled) MaybeAutoResize();
-  if (config_.batch.enabled) MaybeAdaptBatch();
 }
 
 void ShardedRuntime::MaybeMitigateHotKeys() {
@@ -1045,27 +1037,6 @@ Status ShardedRuntime::ResolveSplitConflicts(const QueryEntry& entry) {
     }
   }
   return Status::Ok();
-}
-
-void ShardedRuntime::MaybeAdaptBatch() {
-  const BatchConfig& batch = batch_policy_.config();
-  if (events_dispatched_ - batch_check_global_ < batch.check_interval) {
-    return;
-  }
-  auto now = std::chrono::steady_clock::now();
-  double seconds =
-      std::chrono::duration<double>(now - batch_check_time_).count();
-  double rate = 0;
-  if (seconds > 0) {
-    rate = static_cast<double>(events_dispatched_ - batch_check_global_) /
-           seconds;
-  }
-  batch_check_global_ = events_dispatched_;
-  batch_check_time_ = now;
-  size_t chosen = batch_policy_.Update(rate);
-  if (batch_size_hist_ != nullptr) {
-    batch_size_hist_->Record(static_cast<int64_t>(chosen));
-  }
 }
 
 void ShardedRuntime::RetainForReplay(StreamId stream, const EventPtr& event,
@@ -1396,8 +1367,6 @@ void ShardedRuntime::ScrapeMetrics() {
       ->Set(static_cast<int64_t>(merger_.log_len()));
   metrics->GetGauge("sase_runtime_replay_buffer_len")
       ->Set(static_cast<int64_t>(replay_len_));
-  metrics->GetGauge("sase_runtime_current_batch")
-      ->Set(static_cast<int64_t>(batch_policy_.current()));
 
   std::vector<uint64_t> per_shard(static_cast<size_t>(config_.shard_count), 0);
   for (const Partitioner::StreamState& state : partitioner_.streams()) {

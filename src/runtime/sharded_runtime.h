@@ -20,7 +20,6 @@
 #include "engine/query_engine.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "runtime/batch_policy.h"
 #include "runtime/elastic_policy.h"
 #include "runtime/event_batch.h"
 #include "runtime/output_merger.h"
@@ -37,14 +36,10 @@ struct RuntimeConfig {
   /// Attribute whose value partitions the stream; `TagId` for the paper's
   /// RFID workloads.
   std::string partition_key = "TagId";
-  /// Events per cross-thread handoff (ring-slot exchange). With
-  /// `batch.enabled` this is only the starting size — the policy then grows
-  /// the batch under load (bounded by its latency target) and shrinks it
-  /// when the stream idles.
+  /// Events per cross-thread handoff (ring-slot exchange): the dispatcher
+  /// cuts a worker's pending batch once it holds this many events (clamped
+  /// to >= 1).
   size_t batch_size = 256;
-  /// Adaptive handoff batching (off by default); see runtime/batch_policy.h
-  /// for the sizing rule.
-  BatchConfig batch;
   /// Compile structurally identical queries onto one shared NFA per worker
   /// engine (QueryEngine::set_scan_sharing). Output is byte-identical to
   /// dedicated plans; a checkpoint taken with sharing on must be restored
@@ -359,10 +354,6 @@ class ShardedRuntime : public EventSink {
   uint64_t hotkey_secondary_splits() const { return hotkey_secondary_splits_; }
   uint64_t hotkey_split_refusals() const { return hotkey_split_refusals_; }
   const ElasticPolicy& elastic_policy() const { return policy_; }
-  /// Batch size the dispatcher is cutting handoffs at right now (fixed
-  /// batch_size unless RuntimeConfig::batch.enabled).
-  size_t current_batch() const { return batch_policy_.current(); }
-  const BatchPolicy& batch_policy() const { return batch_policy_; }
   /// Shared-scan activity summed over every worker engine. Reads the
   /// engines, so call from the dispatcher thread at a quiesce point
   /// (after WaitIdle or OnFlush).
@@ -578,9 +569,6 @@ class ShardedRuntime : public EventSink {
   /// Elastic policy tick: samples queue occupancy + event rate every
   /// check_interval dispatched events and resizes on a grow/shrink verdict.
   void MaybeAutoResize();
-  /// Adaptive-batch policy tick: samples the dispatch rate every
-  /// batch.check_interval events and adjusts the handoff cut-off.
-  void MaybeAdaptBatch();
   /// Books a finished delivery at `threshold`: records dispatch->merge
   /// watermark latency for pending merge marks, and closes sampled events'
   /// "merge" and "emit" spans. `t0`/`t1` bracket the callback loop.
@@ -591,7 +579,6 @@ class ShardedRuntime : public EventSink {
   Partitioner partitioner_;
   OutputMerger merger_;
   ElasticPolicy policy_;
-  BatchPolicy batch_policy_;
   EngineInit engine_init_;
 
   std::vector<std::unique_ptr<Worker>> workers_;  // shards + broadcast
@@ -646,12 +633,6 @@ class ShardedRuntime : public EventSink {
   /// (int 7 vs string "7"). Cleared when the query set changes — a refusal
   /// may become splittable (or vice versa).
   std::set<std::pair<StreamId, std::string>> hotkey_refused_;
-  // Adaptive-batch sampling window (independent of the elastic window).
-  uint64_t batch_check_global_ = 0;
-  std::chrono::steady_clock::time_point batch_check_time_{};
-  /// Batch sizes chosen by the policy, one sample per tick; null without a
-  /// registry or with adaptive batching off.
-  obs::HistogramMetric* batch_size_hist_ = nullptr;
 
   uint64_t events_dispatched_ = 0;  // == global dispatch index of last event
   // Memoized OnStreamEvent name resolution (raw -> lowered + interned id).

@@ -286,9 +286,7 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
     runtime_config.partition_key = config_.partition_key;
     runtime_config.time_config = config_.time_config;
     runtime_config.merge_interval = config_.runtime_merge_interval;
-    runtime_config.log_compact_min = config_.runtime_log_compact_min;
     runtime_config.elastic = config_.runtime_elastic;
-    runtime_config.batch = config_.runtime_batch;
     runtime_config.scan_sharing = config_.scan_sharing;
     runtime_config.metrics = metrics_.get();
     runtime_config.tracer = &tracer_;

@@ -49,9 +49,8 @@ struct SystemConfig {
   int shard_count = 1;
   std::string partition_key = "TagId";
   /// Runtime merge cadence (events between incremental merges + clock
-  /// broadcasts) and dispatch-log compaction threshold; see RuntimeConfig.
+  /// broadcasts); see RuntimeConfig::merge_interval.
   size_t runtime_merge_interval = 4096;
-  size_t runtime_log_compact_min = 1024;
   /// Load-driven shard autoscaling (`runtime_elastic.enabled = true` turns
   /// it on; requires shard_count >= 2 so a runtime exists). Thresholds,
   /// bounds and hysteresis: see ElasticConfig in runtime/elastic_policy.h
@@ -68,10 +67,6 @@ struct SystemConfig {
   bool hotkey_mitigation = false;
   int hotkey_split_threshold = 50;
   uint64_t hotkey_min_events = 4096;
-  /// Adaptive handoff batching for the runtime's cross-thread rings (grows
-  /// under load bounded by a latency target, shrinks when idle); see
-  /// BatchConfig in runtime/batch_policy.h and docs/operations.md.
-  BatchConfig runtime_batch;
   /// Compile structurally identical monitoring queries onto one shared NFA
   /// per engine (multi-query sharing; see engine/shared_scan.h). Applies to
   /// the runtime's worker engines AND the serial engine. Checkpoints taken

@@ -278,6 +278,67 @@ TEST(RecoveryGoldenTest, RuntimeAttachmentFollowsTheSnapshot) {
   EXPECT_EQ(golden, lines);
 }
 
+/// SystemConfig::runtime_elastic reaches the runtime. Both occupancy
+/// thresholds sit at 2.0 while a queue's occupancy fraction never exceeds
+/// 1, so every elastic sample reads idle: with hysteresis 1 the autoscaler
+/// shrinks 4 -> 2 -> 1 at fixed event counts, independent of timing.
+/// Output stays byte-identical to serial, uninterrupted and across a
+/// checkpoint taken between the shrinks, a kill and a recovery.
+TEST(RecoveryGoldenTest, ElasticShrinksStayByteIdenticalAcrossRecovery) {
+  Catalog catalog = Catalog::RetailDemo();
+  auto trace = Trace(catalog, 1200);
+  auto regs = AllUpfront();
+  auto golden = RunGolden(catalog, trace, regs);
+
+  // An empty `dir` runs without checkpointing.
+  auto elastic = [](const std::string& dir) {
+    SystemConfig config = CheckpointedConfig(/*shards=*/4, dir);
+    config.runtime_elastic.enabled = true;
+    config.runtime_elastic.min_shards = 1;
+    config.runtime_elastic.check_interval = 100;
+    config.runtime_elastic.hysteresis = 1;
+    config.runtime_elastic.grow_queue_frac = 2.0;
+    config.runtime_elastic.shrink_queue_frac = 2.0;
+    return config;
+  };
+
+  {
+    SystemConfig config = elastic("");
+    std::vector<std::string> lines;
+    SaseSystem system(StoreLayout::RetailDemo(), config);
+    for (const RegistrationPoint& reg : regs) {
+      ASSERT_TRUE(system
+                      .RegisterMonitoringQuery(QueryName(reg.query),
+                                               kQueries[reg.query],
+                                               Collector(&lines, reg.query))
+                      .ok());
+    }
+    for (const EventPtr& event : trace) system.event_bus().OnEvent(event);
+    system.Flush();
+    ASSERT_NE(system.runtime(), nullptr);
+    EXPECT_GE(system.runtime()->resize_count(), 1u);
+    EXPECT_LT(system.runtime()->shard_count(), 4);
+    EXPECT_EQ(golden, lines);
+  }
+
+  std::string dir = FreshDir("elastic");
+  SystemConfig config = elastic(dir);
+  std::vector<std::string> lines;
+  RunUntilCrash(trace, regs, config, /*checkpoint_at=*/500, /*crash_at=*/900,
+                &lines);
+  auto recovered = SaseSystem::Recover(dir, StoreLayout::RetailDemo(), config,
+                                       Factory(&lines));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  ASSERT_NE(recovered.value()->runtime(), nullptr);
+  // The snapshot carries the shrunk layout, not the configured 4 shards.
+  EXPECT_LT(recovered.value()->runtime()->shard_count(), 4);
+  for (size_t i = 900; i < trace.size(); ++i) {
+    recovered.value()->event_bus().OnEvent(trace[i]);
+  }
+  recovered.value()->Flush();
+  EXPECT_EQ(golden, lines);
+}
+
 TEST(RecoveryGoldenTest, RandomizedCrashOffsetsStayByteIdentical) {
   Catalog catalog = Catalog::RetailDemo();
   auto trace = Trace(catalog, 1200);
