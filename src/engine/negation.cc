@@ -114,7 +114,7 @@ void Negation::OnFlush() {
   Operator::OnFlush();
 }
 
-void Negation::OnWatermark(Timestamp now) {
+void Negation::AdvanceTo(Timestamp now) {
   if (!pending_.empty()) ReleasePending(now, /*flush=*/false);
   // Watermarks prune the candidate buffers too: pruning only drops events
   // past the conservative 2W horizon (they can never violate a future

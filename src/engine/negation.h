@@ -63,7 +63,7 @@ class Negation : public Operator {
   /// quiescent stream's state gauges decay. The sharded runtime sends
   /// watermarks so shards whose partitions go quiet still surface pending
   /// matches promptly.
-  void OnWatermark(Timestamp now);
+  void AdvanceTo(Timestamp now);
 
   const Stats& stats() const { return stats_; }
 

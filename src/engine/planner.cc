@@ -119,15 +119,15 @@ void QueryPlan::OnFlush() {
   }
 }
 
-void QueryPlan::OnWatermark(Timestamp now) {
+void QueryPlan::AdvanceTo(Timestamp now) {
   // Scan first (prunes window-expired instances, idempotent when members of
   // a shared group repeat it), then negation (releases deferrals, prunes
   // candidate buffers). Both only discard state that cannot affect any
   // future match, so watermark cadence never changes output.
   if (SequenceScan* scan = mutable_scan(); scan != nullptr) {
-    scan->OnWatermark(now);
+    scan->AdvanceTo(now);
   }
-  negation_->OnWatermark(now);
+  negation_->AdvanceTo(now);
 }
 
 uint64_t QueryPlan::eval_error_count() const {

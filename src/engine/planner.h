@@ -83,8 +83,8 @@ class QueryPlan {
   /// Signals end-of-stream; releases matches deferred by tail negation.
   void OnFlush();
 
-  /// Advances stream time without an event (see Negation::OnWatermark).
-  void OnWatermark(Timestamp now);
+  /// Advances stream time without an event (see Negation::AdvanceTo).
+  void AdvanceTo(Timestamp now);
 
   const AnalyzedQuery& query() const { return query_; }
   const PlanOptions& options() const { return options_; }

@@ -294,67 +294,38 @@ Status QueryEngine::RestoreEngineState(const std::string& payload) {
 
 void QueryEngine::OnEvent(const EventPtr& event) {
   static const std::string kDefault;
-  ++events_processed_;
-  ++scan_epoch_;
-  const std::vector<Entry*>& readers = Readers(kDefault);
-  if (metrics_ == nullptr) {
-    for (Entry* entry : readers) DeliverEvent(*entry, event);
-    return;
-  }
-  for (Entry* entry : readers) DeliverTimed(*entry, event);
+  Ingest(kDefault, &event, 1);
 }
 
 void QueryEngine::OnStreamEvent(const std::string& stream,
                                 const EventPtr& event) {
-  ++events_processed_;
-  ++scan_epoch_;
-  std::string key = ToLower(stream);
-  const std::vector<Entry*>& readers = Readers(key);
-  if (metrics_ == nullptr) {
-    for (Entry* entry : readers) DeliverEvent(*entry, event);
-    return;
-  }
-  for (Entry* entry : readers) DeliverTimed(*entry, event);
+  Ingest(stream, &event, 1);
 }
 
 void QueryEngine::OnStreamEvents(const std::string& stream,
                                  const std::vector<EventPtr>& events) {
-  events_processed_ += events.size();
-  std::string key = ToLower(stream);
+  Ingest(stream, events.data(), events.size());
+}
+
+void QueryEngine::Ingest(const std::string& stream, const EventPtr* events,
+                         size_t count) {
+  events_processed_ += count;
   // Resolve the reader set once; per event the serial iteration order
   // (plans in id order) is preserved. The instrumented variant times each
   // plan's operator-chain wall time per event; detached, the loop is the
   // exact pre-instrumentation code path.
-  const std::vector<Entry*>& readers = Readers(key);
+  const std::vector<Entry*>& readers = Readers(stream);
   if (readers.empty()) return;
   if (metrics_ == nullptr) {
-    for (const EventPtr& event : events) {
+    for (size_t i = 0; i < count; ++i) {
       ++scan_epoch_;
-      for (Entry* entry : readers) DeliverEvent(*entry, event);
+      for (Entry* entry : readers) DeliverEvent(*entry, events[i]);
     }
     return;
   }
-  for (const EventPtr& event : events) {
+  for (size_t i = 0; i < count; ++i) {
     ++scan_epoch_;
-    for (Entry* entry : readers) DeliverTimed(*entry, event);
-  }
-}
-
-void QueryEngine::OnEvents(const std::vector<EventPtr>& events) {
-  static const std::string kDefault;
-  events_processed_ += events.size();
-  const std::vector<Entry*>& readers = Readers(kDefault);
-  if (readers.empty()) return;
-  if (metrics_ == nullptr) {
-    for (const EventPtr& event : events) {
-      ++scan_epoch_;
-      for (Entry* entry : readers) DeliverEvent(*entry, event);
-    }
-    return;
-  }
-  for (const EventPtr& event : events) {
-    ++scan_epoch_;
-    for (Entry* entry : readers) DeliverTimed(*entry, event);
+    for (Entry* entry : readers) DeliverTimed(*entry, events[i]);
   }
 }
 
@@ -364,16 +335,9 @@ void QueryEngine::OnFlush() {
   }
 }
 
-void QueryEngine::OnWatermark(Timestamp now) {
-  for (auto& [id, entry] : plans_) {
-    if (entry.stream.empty()) entry.plan->OnWatermark(now);
-  }
-}
-
 void QueryEngine::OnStreamWatermark(const std::string& stream, Timestamp now) {
-  std::string key = ToLower(stream);
   for (auto& [id, entry] : plans_) {
-    if (entry.stream == key) entry.plan->OnWatermark(now);
+    if (EqualsIgnoreCase(entry.stream, stream)) entry.plan->AdvanceTo(now);
   }
 }
 

@@ -13,6 +13,7 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/parser.h"
+#include "util/string_util.h"
 #include "util/time_util.h"
 
 namespace sase {
@@ -85,31 +86,37 @@ class QueryEngine : public EventSink {
   /// Heap bytes reserved by the groups' match-buffer arenas.
   uint64_t shared_arena_bytes() const;
 
-  /// Delivers an event to the named input stream: only queries registered
-  /// with `FROM <stream>` (case-insensitive) receive it. The unnamed
-  /// OnEvent() below feeds the default stream — queries without a FROM
-  /// clause ("If it is omitted, the query refers to a default system
-  /// input", §2.1.1).
+  // --- ingest ---
+  //
+  // Every ingest call names its input stream; "" is the default input —
+  // the stream queries without a FROM clause read ("If it is omitted, the
+  // query refers to a default system input", §2.1.1). Named streams match
+  // `FROM <stream>` case-insensitively. The EventSink OnEvent() below feeds
+  // the default input.
+  //
+  // Replay contract: the engine is a deterministic function of its call
+  // sequence (Register*/OnEvent/OnStreamEvent(s)/OnStreamWatermark), so
+  // re-issuing a suffix of that sequence into a fresh engine rebuilds its
+  // live state exactly. The sharded runtime's elastic Resize relies on this
+  // — it replays the in-flight window (events younger than the largest
+  // WITHIN span, with registrations interleaved at their original
+  // positions) into fresh engines instead of serializing NFA/negation
+  // state.
+
+  /// Delivers one event to the readers of `stream`, in id order.
   void OnStreamEvent(const std::string& stream, const EventPtr& event);
 
   /// Batch form of OnStreamEvent: identical semantics (each event visits
-  /// the stream's plans in id order), but the stream name is resolved once
-  /// for the whole batch — the sharded runtime's workers deliver their
-  /// single-stream batches through this.
+  /// the stream's plans in id order) — the sharded runtime's workers
+  /// deliver their single-stream batches through this.
   void OnStreamEvents(const std::string& stream,
                       const std::vector<EventPtr>& events);
 
-  /// Batch form of OnEvent for the default input, the unnamed counterpart
-  /// of OnStreamEvents: resolves the default-stream reader set once.
-  ///
-  /// Replay contract: the engine is a deterministic function of its call
-  /// sequence (Register*/OnEvent/OnStreamEvent/OnWatermark), so re-issuing
-  /// a suffix of that sequence into a fresh engine rebuilds its live state
-  /// exactly. The sharded runtime's elastic Resize relies on this — it
-  /// replays the in-flight window (events younger than the largest WITHIN
-  /// span, with registrations interleaved at their original positions)
-  /// into fresh engines instead of serializing NFA/negation state.
-  void OnEvents(const std::vector<EventPtr>& events);
+  /// Advances stream time on every plan reading `stream` without
+  /// delivering an event; releases tail-negation deferrals (see
+  /// Negation::AdvanceTo). The sharded runtime broadcasts one clock per
+  /// stream so quiet shards release deferrals too.
+  void OnStreamWatermark(const std::string& stream, Timestamp now);
 
   /// Access to a live plan (stats, explain); nullptr if unknown.
   const QueryPlan* plan(QueryId id) const;
@@ -118,8 +125,8 @@ class QueryEngine : public EventSink {
   /// a pre-parsed AST). The engine retains every text-registered query's
   /// source so the checkpoint subsystem can serialize registrations and
   /// re-register them on recovery — the engine's replay contract (see
-  /// OnEvents) makes re-registration + replay equivalent to serializing
-  /// plan state.
+  /// "ingest" above) makes re-registration + replay equivalent to
+  /// serializing plan state.
   const std::string& query_text(QueryId id) const;
 
   /// One live query as the checkpoint subsystem sees it.
@@ -157,16 +164,6 @@ class QueryEngine : public EventSink {
   /// restore — keeps Stats()/StatsReport() continuous across recovery.
   std::string SerializeEngineState() const;
   Status RestoreEngineState(const std::string& payload);
-
-  /// Advances stream time on every default-stream plan without delivering
-  /// an event; releases tail-negation deferrals (see Negation::OnWatermark).
-  void OnWatermark(Timestamp now);
-
-  /// Advances stream time on every plan reading the named input stream
-  /// (case-insensitive) — the OnStreamEvent counterpart of OnWatermark. The
-  /// sharded runtime broadcasts one clock per stream so quiet shards release
-  /// named-stream tail-negation deferrals too.
-  void OnStreamWatermark(const std::string& stream, Timestamp now);
 
   size_t query_count() const { return plans_.size(); }
   uint64_t events_processed() const { return events_processed_; }
@@ -298,17 +295,24 @@ class QueryEngine : public EventSink {
   std::string QueryMetricName(const std::string& what, QueryId id) const;
   void ResolveEntryMetrics(QueryId id, Entry& entry);
 
-  /// Readers of `key` in id order, cached across events (streams arrive in
-  /// runs, so one slot suffices). map nodes are stable, so the Entry
-  /// pointers survive unrelated register/unregister; any registration
-  /// change invalidates the cache outright.
-  const std::vector<Entry*>& Readers(const std::string& key) {
-    if (!reader_cache_valid_ || reader_cache_stream_ != key) {
+  /// The untimed/timed delivery loop behind every ingest call: `count`
+  /// events, each to `stream`'s readers in id order.
+  void Ingest(const std::string& stream, const EventPtr* events,
+              size_t count);
+
+  /// Readers of `stream` in id order, cached across events (streams arrive
+  /// in runs, so one slot suffices). The slot is keyed by the name as
+  /// given, so only a stream switch pays the lowercase + scan. map nodes are
+  /// stable, so the Entry pointers survive unrelated register/unregister;
+  /// any registration change invalidates the cache outright.
+  const std::vector<Entry*>& Readers(const std::string& stream) {
+    if (!reader_cache_valid_ || reader_cache_stream_ != stream) {
+      const std::string key = ToLower(stream);
       reader_cache_.clear();
       for (auto& [id, entry] : plans_) {
         if (entry.stream == key) reader_cache_.push_back(&entry);
       }
-      reader_cache_stream_ = key;
+      reader_cache_stream_ = stream;
       reader_cache_valid_ = true;
     }
     return reader_cache_;

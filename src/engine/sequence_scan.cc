@@ -312,7 +312,7 @@ SequenceScan::Footprint SequenceScan::StateFootprint() const {
   return fp;
 }
 
-void SequenceScan::OnWatermark(Timestamp now) {
+void SequenceScan::AdvanceTo(Timestamp now) {
   if (window_ < 0) return;
   stats_.instances_pruned += PruneStacks(&unpartitioned_, now - window_);
   SweepPartitions(now);

@@ -84,7 +84,7 @@ class SequenceScan : public Operator {
   /// Lets a quiescent stream's state gauges decay to ~0 once the window
   /// passes instead of waiting for the next arrival. No-op without window
   /// pushdown.
-  void OnWatermark(Timestamp now);
+  void AdvanceTo(Timestamp now);
 
   /// Current pushdown window in ticks (-1 = disabled). A shared scan
   /// (multi-query sharing, src/engine/shared_scan.h) widens its window to

@@ -70,14 +70,14 @@ class TraceCollector {
   /// span, so dumps always start near t=0.
   uint64_t NowNs() const { return MonotonicNs(); }
 
-  /// Marks that an upstream ingest tap (SaseSystem's bus head) owns the
+  /// Marks that an upstream ingest point (SaseSystem::Ingest) owns the
   /// sampling decision; a standalone ShardedRuntime self-samples at dispatch
   /// only while this is unset, so embedded use never double-counts.
   void SetExternalSampler(bool v) { external_sampler_ = v; }
   bool external_sampler() const { return external_sampler_; }
 
-  /// The trace id of the event currently fanning out on the ingest thread;
-  /// bus subscribers run synchronously, so a slot (not a stack) suffices.
+  /// The trace id of the event currently in flight on the ingest thread;
+  /// its layers run synchronously, so a slot (not a stack) suffices.
   void SetCurrent(uint64_t id) { current_ = id; }
   uint64_t current() const { return current_; }
 

@@ -22,7 +22,7 @@ namespace sase {
 /// switches.
 struct EventBatch {
   /// Lowercased FROM-stream name the events belong to; empty = the default
-  /// input (QueryEngine::OnEvent vs OnStreamEvent).
+  /// input. Workers hand it to QueryEngine::OnStreamEvents as is.
   std::string stream;
 
   std::vector<EventPtr> events;

@@ -99,26 +99,19 @@ void ShardedRuntime::WorkerLoop(Worker* worker) {
       }
     }
     if (batch.traced.empty() || tracer == nullptr) {
-      if (batch.stream.empty()) {
-        worker->engine->OnEvents(batch.events);
-      } else {
-        worker->engine->OnStreamEvents(batch.stream, batch.events);
-      }
+      worker->engine->OnStreamEvents(batch.stream, batch.events);
     } else {
       // The batch carries trace-sampled events: deliver per event (same
-      // semantics as the wholesale call — OnEvents is a loop over OnEvent)
-      // so each sampled event's "operator" span covers exactly its own
-      // operator-chain work. Traced batches are rare even with tracing on.
+      // semantics as the wholesale call — OnStreamEvents is a loop over
+      // OnStreamEvent) so each sampled event's "operator" span covers
+      // exactly its own operator-chain work. Traced batches are rare even
+      // with tracing on.
       size_t next = 0;
       for (size_t i = 0; i < batch.events.size(); ++i) {
         bool traced =
             next < batch.traced.size() && batch.traced[next].index == i;
         uint64_t op_start = traced ? obs::MonotonicNs() : 0;
-        if (batch.stream.empty()) {
-          worker->engine->OnEvent(batch.events[i]);
-        } else {
-          worker->engine->OnStreamEvent(batch.stream, batch.events[i]);
-        }
+        worker->engine->OnStreamEvent(batch.stream, batch.events[i]);
         if (traced) {
           const EventBatch::TracedEvent& mark = batch.traced[next++];
           if (pop_ns > 0) {
@@ -131,11 +124,7 @@ void ShardedRuntime::WorkerLoop(Worker* worker) {
       }
     }
     for (const auto& [stream, ts] : batch.clocks) {
-      if (stream.empty()) {
-        worker->engine->OnWatermark(ts);
-      } else {
-        worker->engine->OnStreamWatermark(stream, ts);
-      }
+      worker->engine->OnStreamWatermark(stream, ts);
     }
     if (batch.flush) worker->engine->OnFlush();
     // Publish the progress claim only after the engine finished the batch:
@@ -433,12 +422,7 @@ uint64_t ShardedRuntime::ReplayIntoShards() {
         *workers_[static_cast<size_t>(partitioner_.ShardFor(
              static_cast<StreamId>(best), *entry.event))]
              ->engine;
-    const std::string& name = partitioner_.streams()[best].name;
-    if (name.empty()) {
-      engine.OnEvent(entry.event);
-    } else {
-      engine.OnStreamEvent(name, entry.event);
-    }
+    engine.OnStreamEvent(partitioner_.streams()[best].name, entry.event);
     ++replayed;
   }
   register_up_to(std::numeric_limits<uint64_t>::max());
@@ -457,12 +441,8 @@ uint64_t ShardedRuntime::ReplayIntoShards() {
   for (const Partitioner::StreamState& state : partitioner_.streams()) {
     if (state.events == 0) continue;
     for (int s = 0; s < config_.shard_count; ++s) {
-      if (state.name.empty()) {
-        workers_[static_cast<size_t>(s)]->engine->OnWatermark(state.clock);
-      } else {
-        workers_[static_cast<size_t>(s)]->engine->OnStreamWatermark(state.name,
-                                                                    state.clock);
-      }
+      workers_[static_cast<size_t>(s)]->engine->OnStreamWatermark(state.name,
+                                                                  state.clock);
     }
   }
 
@@ -818,6 +798,12 @@ void ShardedRuntime::OnEvent(const EventPtr& event) {
 
 void ShardedRuntime::OnStreamEvent(const std::string& stream,
                                    const EventPtr& event) {
+  // The default input is always interned as stream 0; it skips the memo so
+  // traffic interleaving it with one named stream never re-resolves.
+  if (stream.empty()) {
+    OnEvent(event);
+    return;
+  }
   // Streams are few and arrive in runs; resolving (lowercase + intern) only
   // on a name change keeps the per-event dispatch path allocation-free.
   if (!last_stream_valid_ || stream != last_stream_raw_) {
@@ -835,7 +821,7 @@ void ShardedRuntime::Dispatch(StreamId stream, const std::string& name,
   uint64_t trace_id = 0;
   uint64_t trace_start = 0;
   if (tracer != nullptr && tracer->enabled()) {
-    // Embedded under SaseSystem the ingest tap samples and stamps the
+    // Embedded under SaseSystem, SaseSystem::Ingest samples and stamps the
     // current slot; standalone, the dispatcher IS the ingest point.
     trace_id =
         tracer->external_sampler() ? tracer->current() : tracer->MaybeSample();

@@ -100,7 +100,7 @@ struct RuntimeConfig {
   uint64_t hotkey_min_events = 4096;
   /// Optional event-lifecycle tracer (not owned). Sampled events accumulate
   /// partition -> ring -> operator -> merge -> emit spans. A standalone
-  /// runtime samples at dispatch; embedded under SaseSystem the ingest tap
+  /// runtime samples at dispatch; embedded under SaseSystem its ingest path
   /// owns sampling (TraceCollector::SetExternalSampler) and adds the
   /// "ingest" span.
   obs::TraceCollector* tracer = nullptr;
@@ -300,9 +300,10 @@ class ShardedRuntime : public EventSink {
   // EventSink: routes one default-input event (dispatcher thread).
   void OnEvent(const EventPtr& event) override;
 
-  /// Routes one event of a named input stream (case-insensitive), the
-  /// sharded counterpart of QueryEngine::OnStreamEvent. Only queries
-  /// registered with `FROM <stream>` receive it.
+  /// Routes one event of input stream `stream` (case-insensitive; "" = the
+  /// default input, same as OnEvent), the sharded counterpart of
+  /// QueryEngine::OnStreamEvent. Only queries registered with
+  /// `FROM <stream>` receive a named stream's events.
   void OnStreamEvent(const std::string& stream, const EventPtr& event);
 
   /// End-of-stream barrier: flushes partial batches, waits for every worker

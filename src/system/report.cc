@@ -1,13 +1,11 @@
 #include "system/report.h"
 
-#include <cstdio>
 #include <sstream>
 
 namespace sase {
 
 void ReportChannel::Append(const std::string& line) {
   lines_.push_back(line);
-  if (echo_) std::printf("[%s] %s\n", name_.c_str(), line.c_str());
 }
 
 bool ReportChannel::Contains(const std::string& needle) const {
@@ -27,7 +25,7 @@ std::string ReportChannel::ToString() const {
 ReportChannel& ReportBoard::Channel(const std::string& name) {
   auto it = channels_.find(name);
   if (it == channels_.end()) {
-    it = channels_.emplace(name, ReportChannel(name, echo_)).first;
+    it = channels_.emplace(name, ReportChannel(name)).first;
   }
   return it->second;
 }

@@ -15,8 +15,7 @@ namespace sase {
 class ReportChannel {
  public:
   ReportChannel() = default;
-  explicit ReportChannel(std::string name, bool echo = false)
-      : name_(std::move(name)), echo_(echo) {}
+  explicit ReportChannel(std::string name) : name_(std::move(name)) {}
 
   void Append(const std::string& line);
 
@@ -33,15 +32,12 @@ class ReportChannel {
 
  private:
   std::string name_;
-  bool echo_ = false;
   std::vector<std::string> lines_;
 };
 
 /// The set of UI windows.
 class ReportBoard {
  public:
-  explicit ReportBoard(bool echo = false) : echo_(echo) {}
-
   /// Returns (creating on first use) the named channel.
   ReportChannel& Channel(const std::string& name);
   const ReportChannel* Find(const std::string& name) const;
@@ -57,7 +53,6 @@ class ReportBoard {
   static constexpr const char* kMessageResults = "Message Results";
 
  private:
-  bool echo_;
   std::map<std::string, ReportChannel> channels_;
 };
 

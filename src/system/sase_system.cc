@@ -132,75 +132,62 @@ constexpr uint64_t kHealthzStallNs = 2ull * 1000 * 1000 * 1000;
 
 }  // namespace
 
-/// Write-ahead tap: first bus subscriber, so every published event reaches
-/// the journal before any processor sees it.
-class SaseSystem::JournalHeadTap : public EventSink {
+class SaseSystem::BusSink : public EventSink {
  public:
-  explicit JournalHeadTap(SaseSystem* system) : system_(system) {}
+  explicit BusSink(SaseSystem* system) : system_(system) {}
   void OnEvent(const EventPtr& event) override {
-    system_->JournalEvent("", event);
+    static const std::string kDefaultInput;
+    system_->Ingest(kDefaultInput, event);
   }
-  void OnFlush() override { system_->JournalFlush(); }
+  void OnFlush() override { system_->IngestFlush(); }
 
  private:
   SaseSystem* system_;
 };
 
-/// Post-processing tap: last bus subscriber, runs after every processor
-/// finished one event — appends delivery marks and drives the automatic
-/// checkpoint policy.
-class SaseSystem::JournalTailTap : public EventSink {
- public:
-  explicit JournalTailTap(SaseSystem* system) : system_(system) {}
-  void OnEvent(const EventPtr&) override { system_->AfterEventProcessed(); }
-  void OnFlush() override { system_->AfterEventProcessed(); }
-
- private:
-  SaseSystem* system_;
-};
-
-/// Trace-sampling tap: the very first bus subscriber, so a sampled event's
-/// "ingest" span opens before the journal write-ahead or any processor.
-class SaseSystem::ObsHeadTap : public EventSink {
- public:
-  explicit ObsHeadTap(SaseSystem* system) : system_(system) {}
-  void OnEvent(const EventPtr&) override { system_->ObsIngestBegin(); }
-
- private:
-  SaseSystem* system_;
-};
-
-/// Trace-closing tap: the very last bus subscriber; closes the "ingest"
-/// span after every subscriber (journal tail included) finished the event.
-class SaseSystem::ObsTailTap : public EventSink {
- public:
-  explicit ObsTailTap(SaseSystem* system) : system_(system) {}
-  void OnEvent(const EventPtr&) override { system_->ObsIngestEnd(); }
-
- private:
-  SaseSystem* system_;
-};
-
-void SaseSystem::ObsIngestBegin() {
-  if (!tracer_.enabled()) {
-    ingest_trace_ = 0;
-    return;
+void SaseSystem::Ingest(const std::string& stream, const EventPtr& event) {
+  uint64_t trace_id = 0;
+  uint64_t trace_start = 0;
+  if (tracer_.enabled()) {
+    trace_id = tracer_.MaybeSample();
+    // Downstream layers (the runtime's Dispatch in particular) read the
+    // in-flight event's trace id from this slot: the whole ingest is
+    // synchronous on this thread.
+    tracer_.SetCurrent(trace_id);
+    if (trace_id != 0) trace_start = obs::MonotonicNs();
   }
-  ingest_trace_ = tracer_.MaybeSample();
-  // Downstream layers (the runtime's Dispatch in particular) read the
-  // in-flight event's trace id from this slot: the whole bus fan-out is
-  // synchronous on this thread.
-  tracer_.SetCurrent(ingest_trace_);
-  if (ingest_trace_ != 0) ingest_start_ns_ = obs::MonotonicNs();
-}
-
-void SaseSystem::ObsIngestEnd() {
-  if (ingest_trace_ != 0) {
-    tracer_.AddSpan(ingest_trace_, "ingest", "ingest", ingest_start_ns_,
+  // Write-ahead: the journal holds the event before any processor sees it.
+  if (JournalActive()) {
+    NoteJournalStatus(journal_->AppendEvent(stream, *event));
+  }
+  if (runtime_ != nullptr) runtime_->OnStreamEvent(stream, event);
+  engine_->OnStreamEvent(stream, event);
+  if (stream.empty()) {
+    // The cleaned event stream proper: the "Cleaning and Association Layer
+    // Output" UI channel and the raw-event archive.
+    reports_.Channel(ReportBoard::kCleaningOutput)
+        .Append(event->ToString(catalog_));
+    event_archiver_->OnEvent(event);
+  }
+  AfterEventProcessed();
+  if (trace_id != 0) {
+    tracer_.AddSpan(trace_id, "ingest", "ingest", trace_start,
                     obs::MonotonicNs(), 0);
-    ingest_trace_ = 0;
   }
   tracer_.SetCurrent(0);
+}
+
+void SaseSystem::IngestFlush() {
+  if (JournalActive()) NoteJournalStatus(journal_->AppendFlush());
+  if (runtime_ != nullptr) runtime_->OnFlush();
+  engine_->OnFlush();
+  AfterEventProcessed();
+}
+
+void SaseSystem::NoteJournalStatus(const Status& status) {
+  if (status.ok() || journal_warned_) return;
+  SASE_LOG_WARN << "journal append failed: " << status.ToString();
+  journal_warned_ = true;
 }
 
 SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config)
@@ -236,7 +223,6 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
 
   ons_ = std::make_unique<db::Ons>(&database_);
   archiver_ = std::make_unique<db::Archiver>(&database_);
-  reports_ = ReportBoard(config_.echo_reports);
 
   // Seed the area directory from the layout so _retrieveLocation returns
   // meaningful descriptions (upsert: a restored directory stays intact).
@@ -250,8 +236,8 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
 
   // Observability: the registry spans every layer; the trace collector is
   // always constructed (so `.trace on <N>` can enable sampling later) and
-  // samples at this system's ingest taps — the runtime reads the sampled id
-  // instead of drawing its own.
+  // samples in Ingest — the runtime reads the sampled id instead of drawing
+  // its own.
   if (config_.obs.metrics_enabled) {
     metrics_ = std::make_unique<obs::MetricsRegistry>();
     engine_->AttachMetrics(metrics_.get(), "serial");
@@ -260,19 +246,11 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
   }
   tracer_.SetSampling(config_.obs.trace_sample_every);
   tracer_.SetExternalSampler(true);
-  obs_head_ = std::make_unique<ObsHeadTap>(this);
-  obs_tail_ = std::make_unique<ObsTailTap>(this);
-  // The sampling tap precedes even the journal write-ahead tap.
-  event_bus_.Subscribe(obs_head_.get());
 
   bool checkpointing = !config_.checkpoint.dir.empty();
   if (checkpointing) {
-    journal_head_ = std::make_unique<JournalHeadTap>(this);
-    journal_tail_ = std::make_unique<JournalTailTap>(this);
     checkpoint_policy_ =
         std::make_unique<checkpoint::CheckpointPolicy>(config_.checkpoint);
-    // The write-ahead tap precedes every processor on the bus.
-    event_bus_.Subscribe(journal_head_.get());
   }
 
   // A recovered system re-attaches a runtime whenever the snapshot was
@@ -297,25 +275,13 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
     runtime_config.hotkey_split_threshold = config_.hotkey_split_threshold;
     runtime_config.hotkey_min_events = config_.hotkey_min_events;
     runtime_ = std::make_unique<ShardedRuntime>(&catalog_, runtime_config);
-    event_bus_.Subscribe(runtime_.get());
   }
+  event_archiver_ = std::make_unique<RawEventArchiver>(&database_, &catalog_);
 
-  // UI channel: cleaned events ("Cleaning and Association Layer Output").
-  event_logger_ = std::make_unique<CallbackSink>(
-      [this](const EventPtr& event) { LogEvent(event); });
-
-  event_bus_.Subscribe(engine_.get());
-  event_bus_.Subscribe(event_logger_.get());
-  if (config_.archive_raw_events) {
-    event_archiver_ = std::make_unique<RawEventArchiver>(&database_, &catalog_);
-    event_bus_.Subscribe(event_archiver_.get());
-  }
-  if (checkpointing) {
-    // The mark/policy tap runs after every processor finished the event.
-    event_bus_.Subscribe(journal_tail_.get());
-  }
-  // The span-closing tap is last of all.
-  event_bus_.Subscribe(obs_tail_.get());
+  // The system's ingest path is the bus's first subscriber: sinks other code
+  // subscribes later see each event after the system processed it.
+  bus_sink_ = std::make_unique<BusSink>(this);
+  event_bus_.Subscribe(bus_sink_.get());
 
   // Cleaning pipeline configured from the layout.
   CleaningPipeline::Config cleaning_config;
@@ -389,10 +355,6 @@ SaseSystem::SaseSystem(StoreLayout layout, SystemConfig config,
   }
 }
 
-void SaseSystem::LogEvent(const EventPtr& event) {
-  reports_.Channel(ReportBoard::kCleaningOutput).Append(event->ToString(catalog_));
-}
-
 void SaseSystem::AddProduct(const TagInfo& tag) {
   ProductInfo info;
   info.product_name = tag.product_name;
@@ -459,11 +421,7 @@ Result<QueryId> SaseSystem::RegisterMonitoringQuery(const std::string& name,
     reports_.Channel(ReportBoard::kPresentQueries).Append(name + ":\n" + text);
     registry_.push_back(QueryInfo{id.value(), runtime_hosted, false, name, text});
     if (JournalActive()) {
-      Status logged = journal_->AppendRegister(false, name, text);
-      if (!logged.ok() && !journal_warned_) {
-        SASE_LOG_WARN << "journal append failed: " << logged.ToString();
-        journal_warned_ = true;
-      }
+      NoteJournalStatus(journal_->AppendRegister(false, name, text));
     }
   }
   return id;
@@ -480,11 +438,7 @@ Result<QueryId> SaseSystem::RegisterArchivingRule(const std::string& name,
         .Append(name + " (archiving):\n" + text);
     registry_.push_back(QueryInfo{id.value(), false, true, name, text});
     if (JournalActive()) {
-      Status logged = journal_->AppendRegister(true, name, text);
-      if (!logged.ok() && !journal_warned_) {
-        SASE_LOG_WARN << "journal append failed: " << logged.ToString();
-        journal_warned_ = true;
-      }
+      NoteJournalStatus(journal_->AppendRegister(true, name, text));
     }
   }
   return id;
@@ -501,14 +455,7 @@ Result<db::ResultSet> SaseSystem::ExecuteSql(const std::string& text) {
 
 void SaseSystem::PublishStreamEvent(const std::string& stream,
                                     const EventPtr& event) {
-  // Named-stream events bypass the bus, so the obs/journal tap sequence is
-  // reproduced inline in the same order.
-  ObsIngestBegin();
-  JournalEvent(stream, event);
-  if (runtime_ != nullptr) runtime_->OnStreamEvent(stream, event);
-  engine_->OnStreamEvent(stream, event);
-  AfterEventProcessed();
-  ObsIngestEnd();
+  Ingest(stream, event);
 }
 
 void SaseSystem::RunUntil(int64_t until_tick) {
@@ -518,16 +465,11 @@ void SaseSystem::RunUntil(int64_t until_tick) {
 void SaseSystem::Flush() {
   cleaning_->OnFlush();
   // CleaningPipeline::OnFlush flushes its StreamSource, which calls
-  // EventSink::OnFlush on the bus; the bus fans that out to the engine (and
-  // to the journal taps when checkpointing).
+  // EventSink::OnFlush on the bus; the bus hands that to IngestFlush.
   //
   // End-of-stream is an ack commit point: a sink that acked everything it
   // saw must not lose those acks to the group-commit batching window.
-  Status committed = CommitAcks();
-  if (!committed.ok() && !journal_warned_) {
-    SASE_LOG_WARN << "journal append failed: " << committed.ToString();
-    journal_warned_ = true;
-  }
+  NoteJournalStatus(CommitAcks());
 }
 
 Status SaseSystem::AckOutput(const OutputCursor& cursor) {
@@ -547,11 +489,8 @@ Status SaseSystem::AckOutput(const OutputCursor& cursor) {
   acked = cursor.position;
   if (config_.checkpoint.ack_mode == checkpoint::AckMode::kConsumer &&
       JournalActive()) {
-    Status logged = journal_->AppendAckCursor(acked_runtime_, acked_serial_);
-    if (!logged.ok() && !journal_warned_) {
-      SASE_LOG_WARN << "journal append failed: " << logged.ToString();
-      journal_warned_ = true;
-    }
+    NoteJournalStatus(
+        journal_->AppendAckCursor(acked_runtime_, acked_serial_));
   }
   return Status::Ok();
 }
@@ -563,25 +502,6 @@ Status SaseSystem::CommitAcks() {
 
 // --- durable checkpoint & crash recovery -----------------------------------
 
-void SaseSystem::JournalEvent(const std::string& stream,
-                              const EventPtr& event) {
-  if (!JournalActive()) return;
-  Status logged = journal_->AppendEvent(stream, *event);
-  if (!logged.ok() && !journal_warned_) {
-    SASE_LOG_WARN << "journal append failed: " << logged.ToString();
-    journal_warned_ = true;
-  }
-}
-
-void SaseSystem::JournalFlush() {
-  if (!JournalActive()) return;
-  Status logged = journal_->AppendFlush();
-  if (!logged.ok() && !journal_warned_) {
-    SASE_LOG_WARN << "journal append failed: " << logged.ToString();
-    journal_warned_ = true;
-  }
-}
-
 void SaseSystem::AfterEventProcessed() {
   if (!JournalActive()) return;
   ++events_since_checkpoint_;
@@ -592,10 +512,8 @@ void SaseSystem::AfterEventProcessed() {
     if (logged.ok()) {
       last_mark_runtime_ = delivered_runtime_;
       last_mark_serial_ = delivered_serial_;
-    } else if (!journal_warned_) {
-      SASE_LOG_WARN << "journal append failed: " << logged.ToString();
-      journal_warned_ = true;
     }
+    NoteJournalStatus(logged);
   }
   checkpoint::CheckpointSample sample;
   sample.events_since_checkpoint = events_since_checkpoint_;
@@ -991,8 +909,7 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
   }
 
   // Journal suffix: scan first (validates CRCs, finds the delivery marks),
-  // then replay the valid prefix through the regular publication paths with
-  // the taps dormant.
+  // then replay the valid prefix through Ingest with journaling off.
   auto scan = checkpoint::ReadJournal(spec.dir, epoch_);
   if (!scan.ok()) return scan.status();
   if (snap == nullptr && scan.value().segments_read == 0) {
@@ -1051,18 +968,15 @@ Status SaseSystem::FinishRecovery(const RecoverySpec& spec,
               "journal event references unknown type id " +
               std::to_string(record.type));
         }
-        auto event = std::make_shared<Event>(record.type, record.timestamp,
-                                             record.seq, record.values);
-        if (record.kind == checkpoint::JournalRecord::Kind::kEvent) {
-          event_bus_.OnEvent(event);
-        } else {
-          PublishStreamEvent(record.stream, event);
-        }
+        // A kEvent record's stream is "", the default input.
+        Ingest(record.stream,
+               std::make_shared<Event>(record.type, record.timestamp,
+                                       record.seq, record.values));
         ++replayed_events;
         break;
       }
       case checkpoint::JournalRecord::Kind::kFlush:
-        event_bus_.OnFlush();
+        IngestFlush();
         break;
       case checkpoint::JournalRecord::Kind::kRegister: {
         if (record.archiving) {

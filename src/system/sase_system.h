@@ -34,11 +34,9 @@ struct SystemConfig {
   uint64_t seed = 42;                  // simulator noise seed
   int64_t raw_units_per_tick = 1000;   // device clock granularity (ms/tick)
   int64_t smoothing_window_ticks = 3;  // temporal smoothing reach
-  bool archive_raw_events = true;      // keep an events table for ad-hoc SQL
-  bool echo_reports = false;           // print UI channels to stdout
 
   /// Complex-event-processor parallelism: with shard_count >= 2 a
-  /// ShardedRuntime is attached to the event bus and monitoring queries that
+  /// ShardedRuntime receives every published event and monitoring queries that
   /// do not call database functions — including named FROM-stream readers —
   /// execute across `shard_count` worker threads, partitioned by
   /// `partition_key`. Archiving rules and function-calling (hybrid
@@ -144,9 +142,10 @@ class IdempotentSink {
 ///
 ///   RFID devices (RetailSimulator)
 ///     -> Cleaning and Association (CleaningPipeline, ONS-backed)
-///       -> event stream (StreamBus)
+///       -> event stream (StreamBus; the default input, stream "")
 ///         -> Complex Event Processor (QueryEngine)  -> user notifications
-///         -> Event Database (db::Database via archiving rules)
+///         -> Event Database (db::Database via archiving rules, plus the
+///            raw `events` archive table)
 ///   + User Interface stand-in (ReportBoard channels)
 ///   + ad-hoc SQL over the Event Database (SqlExecutor)
 ///   + durable checkpoint & crash recovery (src/checkpoint/, optional)
@@ -156,7 +155,7 @@ class IdempotentSink {
 class SaseSystem {
  public:
   explicit SaseSystem(StoreLayout layout, SystemConfig config = {});
-  ~SaseSystem();  // out-of-line: the journal taps are defined in the .cc
+  ~SaseSystem();  // out-of-line: the bus sink is defined in the .cc
 
   // --- component access ---
   const Catalog& catalog() const { return catalog_; }
@@ -171,6 +170,9 @@ class SaseSystem {
   db::Ons& ons() { return *ons_; }
   db::Archiver& archiver() { return *archiver_; }
   ReportBoard& reports() { return reports_; }
+  /// The cleaned event stream — the default input. The system's own
+  /// ingest sink is its first subscriber, so sinks other code subscribes
+  /// here see each event after the system fully processed it.
   StreamBus& event_bus() { return event_bus_; }
   const SystemConfig& config() const { return config_; }
   const StoreLayout& layout() const { return layout_; }
@@ -234,9 +236,13 @@ class SaseSystem {
   /// logged to the "Database Report" channel.
   Result<db::ResultSet> ExecuteSql(const std::string& text);
 
-  /// Publishes one event onto a named input stream: FROM-stream queries on
-  /// the runtime (when enabled) and the serial engine receive it. Call from
-  /// the simulation thread; events must arrive in stream order per stream.
+  /// Publishes one event onto input stream `stream`: FROM-stream queries on
+  /// the runtime (when enabled) and the serial engine receive it, through
+  /// the same ingest path (trace, journal, processors, checkpoint policy)
+  /// as events published on event_bus(). "" is the default input: such an
+  /// event is handled exactly like one published on the bus, except that
+  /// sinks other code subscribed to the bus do not see it. Call from the
+  /// simulation thread; events must arrive in stream order per stream.
   void PublishStreamEvent(const std::string& stream, const EventPtr& event);
 
   /// Advances the simulation to `until_tick` (readers poll every tick).
@@ -278,7 +284,7 @@ class SaseSystem {
   /// kInvalidArgument naming both formats.
   ///
   /// `config` supplies the non-checkpointed knobs (noise, tick length,
-  /// report echo...); the runtime shape (shard count, partition key) comes
+  /// observability...); the runtime shape (shard count, partition key) comes
   /// from the snapshot. The simulator and cleaning pipeline restart fresh
   /// from `layout` — recovery covers the event-processing layers, not
   /// simulated device state.
@@ -361,41 +367,36 @@ class SaseSystem {
   SaseSystem(StoreLayout layout, SystemConfig config,
              const RecoverySpec* recovery);
 
-  /// Journal taps around the event bus: Head write-ahead logs every
-  /// published event before any processor sees it; Tail runs after every
-  /// subscriber finished, appending output marks and driving the automatic
-  /// checkpoint policy.
-  class JournalHeadTap;
-  class JournalTailTap;
+  /// The one event-bus subscriber the system itself installs; forwards
+  /// default-input events to Ingest and end-of-stream to IngestFlush.
+  class BusSink;
 
-  /// Observability taps around the event bus: Head is the FIRST subscriber
-  /// (samples the event into the trace before the journal or any processor
-  /// sees it), Tail the LAST (closes the "ingest" span after every
-  /// subscriber — journal tail included — finished the event).
-  class ObsHeadTap;
-  class ObsTailTap;
+  /// Every published event, default input ("") or named stream, in this
+  /// order: trace-sample ("ingest" span begin) -> journal write-ahead ->
+  /// runtime -> serial engine -> (default input only) cleaning-output
+  /// channel and raw-event archive -> output marks and checkpoint policy ->
+  /// "ingest" span end. Journal replay on recovery goes through here too.
+  void Ingest(const std::string& stream, const EventPtr& event);
+  /// End-of-stream in the same order: journal, runtime, serial engine,
+  /// output marks and checkpoint policy.
+  void IngestFlush();
 
-  /// One-per-published-event trace bracket; also wraps PublishStreamEvent
-  /// (named-stream events bypass the bus). Near-free while sampling is off.
-  void ObsIngestBegin();
-  void ObsIngestEnd();
-
-  void LogEvent(const EventPtr& event);
   /// Monitoring-query delivery wrapper: report channels + user callback,
   /// behind the recovery suppression gate and the delivery counters.
   OutputCallback MakeDeliver(const std::string& name, OutputCallback callback,
                              bool runtime_hosted);
   bool JournalActive() const { return journal_ != nullptr && !recovering_; }
-  void JournalEvent(const std::string& stream, const EventPtr& event);
-  void JournalFlush();
+  /// The journal-failure policy, in one place: the first failed journal
+  /// write logs a warning, later ones stay silent, and processing goes on.
+  void NoteJournalStatus(const Status& status);
   /// After one published event (or flush) is fully processed: appends an
   /// output mark if deliveries advanced, then evaluates the checkpoint
   /// policy and acts on it.
   void AfterEventProcessed();
   Status OpenJournal(uint64_t epoch, uint64_t segment);
   /// Registers the snapshot's queries, restores their engine state and
-  /// replays the journal suffix; runs with `recovering_` set so the taps
-  /// stay dormant.
+  /// replays the journal suffix through Ingest; runs with `recovering_` set
+  /// so replay writes no journal records and takes no checkpoints.
   Status FinishRecovery(const RecoverySpec& spec, const CallbackFactory& callbacks);
 
   Catalog catalog_;
@@ -411,8 +412,6 @@ class SaseSystem {
   // --- observability (src/obs/) ---
   std::unique_ptr<obs::MetricsRegistry> metrics_;
   obs::TraceCollector tracer_;
-  std::unique_ptr<ObsHeadTap> obs_head_;
-  std::unique_ptr<ObsTailTap> obs_tail_;
   /// Embedded scrape endpoint (`obs.http_port`); null when disabled. Its
   /// accept thread serves /metrics live (RenderPrometheus is thread-safe),
   /// /healthz via the runtime's cross-thread Healthy() probe, and /statusz
@@ -421,25 +420,21 @@ class SaseSystem {
   std::unique_ptr<obs::HttpEndpoint> http_endpoint_;
   mutable std::mutex statusz_mutex_;
   std::string statusz_;
-  uint64_t ingest_trace_ = 0;     // sampled id of the in-flight event (0 = not)
-  uint64_t ingest_start_ns_ = 0;  // its "ingest" span start
 
   StreamBus event_bus_;
+  std::unique_ptr<BusSink> bus_sink_;
   std::unique_ptr<QueryEngine> engine_;
   std::unique_ptr<ShardedRuntime> runtime_;
-  std::unique_ptr<CallbackSink> event_logger_;
-  std::unique_ptr<EventSink> event_archiver_;
+  std::unique_ptr<EventSink> event_archiver_;  // the raw `events` table
   std::unique_ptr<CleaningPipeline> cleaning_;
   std::unique_ptr<RetailSimulator> simulator_;
 
   // --- checkpoint subsystem state (all dispatcher-thread) ---
-  std::unique_ptr<JournalHeadTap> journal_head_;
-  std::unique_ptr<JournalTailTap> journal_tail_;
   std::unique_ptr<checkpoint::EventJournal> journal_;
   std::unique_ptr<checkpoint::CheckpointPolicy> checkpoint_policy_;
   std::vector<QueryInfo> registry_;
   uint64_t epoch_ = 0;  // current snapshot epoch (0 before first checkpoint)
-  bool recovering_ = false;     // journal taps dormant during replay
+  bool recovering_ = false;     // no journal writes during replay
   bool in_checkpoint_ = false;  // reentrancy guard (callback -> Checkpoint)
   bool journal_warned_ = false;
   // Delivery watermarks: absolute records delivered per host class, and the

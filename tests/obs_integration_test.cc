@@ -233,7 +233,7 @@ TEST(ObsIntegrationTest, StateGaugesDecayAfterWindowExpirySerial) {
   // the state-size gauges return to ~0 — the partitioned scan releases
   // everything, the negation buffers keep only their empty vector shells.
   Timestamp last = stream.events().back()->timestamp();
-  system.engine().OnWatermark(last + 2 * 50 + 2);
+  system.engine().OnStreamWatermark("", last + 2 * 50 + 2);
   system.ScrapeMetrics();
   auto drained = ParseProm(system.metrics()->RenderPrometheus());
   EXPECT_EQ(SumFamily(drained, "sase_query_scan_instances"), 0.0);

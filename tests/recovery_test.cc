@@ -1138,6 +1138,10 @@ TEST(ExactlyOnceTest, AckedCursorSurvivesGroupCommitCrashWindow) {
     for (size_t i = 0; i < 250; ++i) system.event_bus().OnEvent(trace[i]);
     ASSERT_TRUE(system.Checkpoint().ok());
     for (size_t i = 250; i < 500; ++i) system.event_bus().OnEvent(trace[i]);
+    // Fixed delivery point: everything merge-safe after event 500 is
+    // delivered (and acked) before the crash, whatever the worker
+    // scheduling, so the crash window always holds unacked deliveries.
+    system.runtime()->WaitIdle();
     consumer.system = nullptr;
     // Crash without Flush: unacked deliveries, the pending ack batch and
     // the open commit group all die here.
@@ -1180,6 +1184,132 @@ TEST(ExactlyOnceTest, AckedCursorSurvivesGroupCommitCrashWindow) {
   recovered.value()->Flush();
   EXPECT_EQ(golden, consumer.deduped) << "deduped output diverged";
   EXPECT_EQ(consumer.mismatches, 0u);
+}
+
+
+/// Default-input and named-stream events interleaved through SaseSystem's
+/// two publication entry points — event_bus().OnEvent and
+/// PublishStreamEvent — at 2 shards with journaling on: every third event
+/// rides the "belt" stream, the rest the default input. Both journal record
+/// kinds (kEvent and kStreamEvent) land in the replayed suffix.
+const std::vector<std::string> kTwoStreamQueries = {
+    kQueries[0],
+    kQueries[2],
+    "FROM belt " + kQueries[1],
+    "FROM belt " + kQueries[3],
+};
+
+bool OnBelt(size_t i) { return i % 3 == 2; }
+
+void PublishTwoStream(SaseSystem& system, size_t i, const EventPtr& event) {
+  if (OnBelt(i)) {
+    system.PublishStreamEvent("belt", event);
+  } else {
+    system.event_bus().OnEvent(event);
+  }
+}
+
+TEST(TwoStreamIngestTest, InterleavedStreamsRecoverByteIdentical) {
+  Catalog catalog = Catalog::RetailDemo();
+  auto trace = Trace(catalog, 1200);
+
+  // Uninterrupted reference: one serial engine fed the same calls.
+  std::vector<std::string> golden;
+  {
+    QueryEngine engine(&catalog);
+    for (size_t q = 0; q < kTwoStreamQueries.size(); ++q) {
+      ASSERT_TRUE(engine.Register(kTwoStreamQueries[q], Collector(&golden, q))
+                      .ok());
+    }
+    for (size_t i = 0; i < trace.size(); ++i) {
+      if (OnBelt(i)) {
+        engine.OnStreamEvent("belt", trace[i]);
+      } else {
+        engine.OnEvent(trace[i]);
+      }
+    }
+    engine.OnFlush();
+  }
+  ASSERT_GT(golden.size(), 50u);  // non-trivial workload
+
+  std::string dir = FreshDir("two_stream");
+  SystemConfig config = CheckpointedConfig(/*shards=*/2, dir);
+  std::vector<std::string> lines;
+  constexpr size_t kCheckpointAt = 400;
+  constexpr size_t kCrashAt = 900;
+  {
+    SaseSystem system(StoreLayout::RetailDemo(), config);
+    for (size_t q = 0; q < kTwoStreamQueries.size(); ++q) {
+      ASSERT_TRUE(system
+                      .RegisterMonitoringQuery(QueryName(q),
+                                               kTwoStreamQueries[q],
+                                               Collector(&lines, q))
+                      .ok());
+    }
+    for (size_t i = 0; i < kCrashAt; ++i) {
+      if (i == kCheckpointAt) {
+        ASSERT_TRUE(system.Checkpoint().ok());
+      }
+      PublishTwoStream(system, i, trace[i]);
+    }
+    // Crash: destroyed without Flush.
+  }
+
+  // The journal suffix holds both record kinds, one per published event.
+  auto manifest = checkpoint::ReadManifest(dir);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  auto scan = checkpoint::ReadJournal(dir, manifest.value());
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  size_t default_records = 0;
+  size_t belt_records = 0;
+  for (const checkpoint::JournalRecord& record : scan.value().records) {
+    if (record.kind == checkpoint::JournalRecord::Kind::kEvent) {
+      ++default_records;
+    } else if (record.kind == checkpoint::JournalRecord::Kind::kStreamEvent) {
+      EXPECT_EQ(record.stream, "belt");
+      ++belt_records;
+    }
+  }
+  size_t belt_published = 0;
+  for (size_t i = kCheckpointAt; i < kCrashAt; ++i) belt_published += OnBelt(i);
+  EXPECT_EQ(belt_records, belt_published);
+  EXPECT_EQ(default_records + belt_records, kCrashAt - kCheckpointAt);
+
+  auto recovered = SaseSystem::Recover(dir, StoreLayout::RetailDemo(), config,
+                                       Factory(&lines));
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  for (size_t i = kCrashAt; i < trace.size(); ++i) {
+    PublishTwoStream(*recovered.value(), i, trace[i]);
+  }
+  recovered.value()->Flush();
+  EXPECT_EQ(golden, lines);
+}
+
+TEST(TwoStreamIngestTest, EveryPublishedEventGetsOneIngestSpan) {
+  Catalog catalog = Catalog::RetailDemo();
+  auto trace = Trace(catalog, 300);
+  SystemConfig config =
+      CheckpointedConfig(/*shards=*/2, FreshDir("two_stream_trace"));
+  config.obs.trace_sample_every = 1;
+  SaseSystem system(StoreLayout::RetailDemo(), config);
+  for (size_t q = 0; q < kTwoStreamQueries.size(); ++q) {
+    ASSERT_TRUE(system
+                    .RegisterMonitoringQuery(QueryName(q), kTwoStreamQueries[q])
+                    .ok());
+  }
+  for (size_t i = 0; i < trace.size(); ++i) {
+    PublishTwoStream(system, i, trace[i]);
+  }
+  system.Flush();
+
+  std::map<uint64_t, int> ingest_spans;  // trace id -> "ingest" span count
+  for (const obs::TraceSpan& span : system.tracer().Spans()) {
+    if (std::string(span.name) == "ingest") ++ingest_spans[span.trace_id];
+  }
+  EXPECT_EQ(ingest_spans.size(), trace.size());
+  for (const auto& [trace_id, count] : ingest_spans) {
+    EXPECT_EQ(count, 1) << "trace " << trace_id;
+  }
 }
 
 }  // namespace

@@ -1449,9 +1449,9 @@ TEST(QueryEngineRuntimeSupportTest, WatermarkReleasesTailNegation) {
   ASSERT_TRUE(e.ok());
   engine.OnEvent(e.value());
   EXPECT_EQ(outputs, 0);
-  engine.OnWatermark(6);  // window closes at 6; release needs now > 6
+  engine.OnStreamWatermark("", 6);  // window closes at 6; release needs now > 6
   EXPECT_EQ(outputs, 0);
-  engine.OnWatermark(7);
+  engine.OnStreamWatermark("", 7);
   EXPECT_EQ(outputs, 1);
 }
 
@@ -1470,7 +1470,7 @@ TEST(QueryEngineRuntimeSupportTest, StreamWatermarkReleasesNamedStreamDeferral) 
   engine.OnStreamEvent("belt", e.value());
   EXPECT_EQ(outputs, 0);
   // The default-input clock must not touch named-stream plans.
-  engine.OnWatermark(100);
+  engine.OnStreamWatermark("", 100);
   EXPECT_EQ(outputs, 0);
   engine.OnStreamWatermark("BELT", 7);  // case-insensitive; 7 > 1 + 5
   EXPECT_EQ(outputs, 1);
